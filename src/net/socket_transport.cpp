@@ -420,7 +420,8 @@ void SocketTransport::send(const Message& m) {
   queue_frame(*p, payload, Clock::now());
 }
 
-void SocketTransport::heard_from(std::int64_t node, Clock::time_point now) {
+void SocketTransport::heard_from(std::int64_t node, Clock::time_point now,
+                                 bool hello) {
   if (node < 0) return;
   Peer* p = peer_for(static_cast<std::uint32_t>(node));
   if (p == nullptr) return;
@@ -428,13 +429,14 @@ void SocketTransport::heard_from(std::int64_t node, Clock::time_point now) {
   if (p->down) {
     p->down = false;
     ++stats_.peers_resurrected;
-    // The peer is demonstrably back: forget the accumulated dial failures
-    // and redial immediately instead of sitting out the capped backoff.
-    if (p->fd < 0) {
-      p->attempt = 0;
-      p->next_dial = now;
-    }
   }
+  // A Hello proves the peer is alive with its listener bound (a transport
+  // binds before it ever dials): if our link to it is idle, dial now instead
+  // of sitting out the backoff. Success resets the attempt count; failure
+  // resumes the backoff where it was. Heartbeats and messages never trigger
+  // this, so a peer we cannot reach costs at most one extra dial per Hello
+  // it sends, not one per heartbeat.
+  if (hello && p->fd < 0) p->next_dial = now;
 }
 
 bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
@@ -452,15 +454,14 @@ bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
     return false;
   }
   try {
-    std::vector<std::uint8_t> frame;
-    while (extract_stream_frame(c.rx, frame, opts_.max_frame_bytes)) {
-      ParsedFrame pf = parse_frame(frame.data(), frame.size(), opts_.wire);
+    while (extract_stream_frame(c.rx, frame_, opts_.max_frame_bytes)) {
+      ParsedFrame pf = parse_frame(frame_.data(), frame_.size(), opts_.wire);
       ++stats_.frames_received;
       if (pf.is_control()) {
         if (pf.control.kind == WireKind::kHello) {
           c.node = static_cast<std::int64_t>(pf.control.a);
           ++stats_.hellos_received;
-          heard_from(c.node, now);
+          heard_from(c.node, now, /*hello=*/true);
           if (peer_status_ && c.node >= 0) {
             peer_status_(static_cast<std::uint32_t>(c.node), pf.control.b);
           }
@@ -498,11 +499,11 @@ void SocketTransport::emit_heartbeats(Clock::time_point now) {
   ControlFrame hb;
   hb.kind = WireKind::kHeartbeat;
   hb.a = heartbeat_seq_++;
-  std::vector<std::uint8_t> payload;
-  serialize_control(hb, payload);
+  heartbeat_payload_.clear();
+  serialize_control(hb, heartbeat_payload_);
   for (Peer& p : peers_) {
     if (p.fd < 0 || p.connecting) continue;
-    queue_frame(p, payload, now);
+    queue_frame(p, heartbeat_payload_, now);
     ++stats_.heartbeats_sent;
   }
   next_heartbeat_ = now + opts_.heartbeat_interval;
@@ -531,10 +532,11 @@ bool SocketTransport::pump(Millis max_wait) {
   emit_heartbeats(now);
   check_deadlines(now);
 
-  // poll set: listener, accepted conns, dialed conns.
-  std::vector<pollfd> fds;
-  enum class Slot { kListener, kConn, kPeer };
-  std::vector<std::pair<Slot, std::size_t>> slots;
+  // poll set: listener, accepted conns, dialed conns (member scratch).
+  std::vector<pollfd>& fds = poll_fds_;
+  std::vector<std::pair<Slot, std::size_t>>& slots = poll_slots_;
+  fds.clear();
+  slots.clear();
   if (listen_fd_ >= 0) {
     fds.push_back({listen_fd_, POLLIN, 0});
     slots.emplace_back(Slot::kListener, 0);

@@ -14,7 +14,10 @@
 //    are reassembled per-connection; writes keep a bounded pending buffer);
 //  - a failed or broken dial retries with bounded deterministic
 //    exponential backoff + jitter (same splitmix64-seeded shape as
-//    DispatchOptions backoff);
+//    DispatchOptions backoff); a Hello from a peer whose outbound link is
+//    idle cuts that backoff short and dials it at once, so links come up
+//    when the peer does (only Hellos do this, never heartbeats or
+//    messages, and a failed Hello dial resumes the backoff where it was);
 //  - liveness is heartbeat-based: every established outbound connection
 //    carries a Heartbeat control frame each heartbeat_interval, and a peer
 //    from which nothing (hello/heartbeat/message) has been heard for
@@ -22,7 +25,7 @@
 //  - degradation is graceful: sends to a down peer are counted and
 //    dropped, which is exactly the paper's crashed-participant semantics
 //    (the protocol tolerates f such crashes); a peer that speaks again is
-//    resurrected.
+//    resurrected (and redialled at once if it speaks with a Hello).
 //
 // Everything malformed on a connection raises/absorbs net::WireError and
 // drops that connection (never the process): a byte-corrupting peer looks
@@ -30,6 +33,8 @@
 //
 // Single-threaded by design: pump() runs one poll iteration; the caller
 // (net/node_runtime.hpp) interleaves pumps with simulator slices.
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -224,7 +229,8 @@ class SocketTransport final : public Transport {
                    Clock::time_point now);
   void queue_control(Peer& p, const ControlFrame& f, Clock::time_point now);
   bool read_conn(InConn& c, Clock::time_point now);  // false = drop conn
-  void heard_from(std::int64_t node, Clock::time_point now);
+  void heard_from(std::int64_t node, Clock::time_point now,
+                  bool hello = false);
   void check_deadlines(Clock::time_point now);
   void emit_heartbeats(Clock::time_point now);
 
@@ -243,6 +249,12 @@ class SocketTransport final : public Transport {
   std::optional<std::uint64_t> catchup_instance_;
   Clock::time_point next_heartbeat_;
   std::uint64_t heartbeat_seq_ = 0;
+  // Per-pump scratch, kept for its capacity (an idle pump allocates nothing).
+  enum class Slot { kListener, kConn, kPeer };
+  std::vector<pollfd> poll_fds_;
+  std::vector<std::pair<Slot, std::size_t>> poll_slots_;
+  std::vector<std::uint8_t> frame_;
+  std::vector<std::uint8_t> heartbeat_payload_;
   SocketTransportStats stats_;
   bool closed_ = false;
 };

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -425,6 +426,125 @@ TEST(SocketTransport, ResurrectedPeerResetsDialBackoff) {
   // Connected again: the attempt counter is back at zero.
   EXPECT_EQ(a.reconnect_attempt(1), 0);
   EXPECT_EQ(a.reconnect_attempt(9), -1);  // unknown node sentinel
+}
+
+/// Options whose backoff alone would keep a failed peer undialled for the
+/// whole test: every link that comes up early came up on a Hello.
+net::SocketTransportOptions slow_redial_opts() {
+  auto o = fast_opts();
+  o.reconnect_base = 5s;
+  o.reconnect_cap = 5s;
+  return o;
+}
+
+TEST(SocketTransport, NeverUpPeerIsDialedOnItsHello) {
+  TempDir dir;
+  const auto opts = slow_redial_opts();
+  net::SocketTransport a(0, "unix:" + dir.file("a.sock"), opts);
+  a.add_peer(1, "unix:" + dir.file("b.sock"));
+  a.map_pid(sim::ProcessId(5), 1);
+  a.send(money_message(41, 4, 5, 7));
+
+  // b does not exist yet: a's first dial fails and its next one is >= 3.75 s
+  // away. The peer never was up, so this is not a resurrection.
+  ASSERT_TRUE(
+      pump_until({&a}, [&] { return a.stats().dial_attempts >= 1; }, 500ms));
+  ASSERT_EQ(a.reconnect_attempt(1), 1);
+  ASSERT_FALSE(a.peer_connected(1));
+
+  // b starts and dials a; its Hello must make a dial back at once.
+  net::SocketTransport b(1, "unix:" + dir.file("b.sock"), opts);
+  b.add_peer(0, "unix:" + dir.file("a.sock"));
+  std::vector<Message> got;
+  b.set_receive_handler([&](Message&& m) { got.push_back(std::move(m)); });
+  ASSERT_TRUE(pump_until({&a, &b}, [&] { return a.peer_connected(1); },
+                         500ms));
+  EXPECT_EQ(a.reconnect_attempt(1), 0);
+  EXPECT_EQ(a.stats().peers_resurrected, 0u);
+
+  // The message queued before b existed rides the new link.
+  ASSERT_TRUE(pump_until({&a, &b}, [&] { return !got.empty(); }, 500ms));
+  EXPECT_EQ(got[0].id, 41u);
+}
+
+TEST(SocketTransport, StaggeredStartMeshConvergesOnHellos) {
+  // A committee starting one process at a time: each node's dials to the
+  // not-yet-started ones fail, and with a 5 s backoff only the later
+  // nodes' Hellos can bring those links up within the budget.
+  TempDir dir;
+  const auto opts = slow_redial_opts();
+  constexpr std::uint32_t kNodes = 4;
+  const auto addr = [&](std::uint32_t k) {
+    return "unix:" + dir.file("n" + std::to_string(k) + ".sock");
+  };
+  std::vector<std::unique_ptr<net::SocketTransport>> nodes;
+  std::vector<net::SocketTransport*> started;
+  for (std::uint32_t k = 0; k < kNodes; ++k) {
+    nodes.push_back(std::make_unique<net::SocketTransport>(k, addr(k), opts));
+    for (std::uint32_t j = 0; j < kNodes; ++j) {
+      if (j != k) nodes.back()->add_peer(j, addr(j));
+    }
+    started.push_back(nodes.back().get());
+    (void)pump_until(started, [] { return false; }, 20ms);
+  }
+  const auto all_linked = [&] {
+    for (std::uint32_t k = 0; k < kNodes; ++k) {
+      for (std::uint32_t j = 0; j < kNodes; ++j) {
+        if (j != k && !nodes[k]->peer_connected(j)) return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(pump_until(started, all_linked, 1000ms));
+}
+
+TEST(SocketTransport, UnreachablePeerRedialsOncePerHelloNotPerHeartbeat) {
+  // a holds a wrong address for b, so every dial of a's fails. b reaches a
+  // fine and keeps sending heartbeats. Hellos may each buy one extra dial;
+  // heartbeats must buy none.
+  TempDir dir;
+  const auto opts = slow_redial_opts();
+  net::SocketTransport a(0, "unix:" + dir.file("a.sock"), opts);
+  a.add_peer(1, "unix:" + dir.file("nowhere.sock"));
+  ASSERT_TRUE(
+      pump_until({&a}, [&] { return a.stats().dial_attempts >= 1; }, 500ms));
+  // The plain backoff schedule owes exactly this one dial for the test's
+  // duration (its next rung is >= 3.75 s away).
+  const std::uint64_t scheduled = a.stats().dial_attempts;
+  ASSERT_EQ(scheduled, 1u);
+
+  net::SocketTransport b(1, "unix:" + dir.file("b.sock"), opts);
+  b.add_peer(0, "unix:" + dir.file("a.sock"));
+  ASSERT_TRUE(pump_until({&a, &b},
+                         [&] { return a.stats().hellos_received >= 1; },
+                         500ms));
+  (void)pump_until({&a, &b}, [] { return false; }, 20ms);  // the redial
+  // Exactly one extra dial for b's one Hello: the rule applies, once.
+  EXPECT_EQ(a.stats().dial_attempts, scheduled + a.stats().hellos_received);
+  EXPECT_FALSE(a.peer_connected(1));
+  // The failed extra dial climbs the backoff ladder like any other failure
+  // instead of restarting it at reconnect_base.
+  EXPECT_EQ(a.reconnect_attempt(1), static_cast<int>(a.stats().dial_attempts));
+
+  // Heartbeats alone: a stream of them and not one more dial.
+  const std::uint64_t dials = a.stats().dial_attempts;
+  const std::uint64_t heartbeats = a.stats().heartbeats_received;
+  ASSERT_TRUE(pump_until(
+      {&a, &b},
+      [&] { return a.stats().heartbeats_received >= heartbeats + 5; },
+      1000ms));
+  EXPECT_EQ(a.stats().dial_attempts, dials);
+  EXPECT_TRUE(a.peer_up(1));  // heartbeats still prove liveness
+
+  // A status re-announcement is a Hello: at most one more dial for it.
+  const std::uint64_t hellos = a.stats().hellos_received;
+  b.set_hello_status(net::hello_status_word(2, false));
+  ASSERT_TRUE(pump_until({&a, &b},
+                         [&] { return a.stats().hellos_received > hellos; },
+                         500ms));
+  (void)pump_until({&a, &b}, [] { return false; }, 20ms);
+  EXPECT_LE(a.stats().dial_attempts, dials + 1);
+  EXPECT_LE(a.stats().dial_attempts, scheduled + a.stats().hellos_received);
 }
 
 // ------------------------------------ hello status & catch-up frames
