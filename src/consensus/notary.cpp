@@ -18,6 +18,9 @@ Notary::Notary(std::shared_ptr<const CommitteeConfig> config,
     : config_(std::move(config)), keys_(keys), behaviour_(behaviour) {
   XCP_REQUIRE(config_ != nullptr, "null committee config");
   XCP_REQUIRE(!config_->members.empty(), "empty committee");
+  for (PrecommitTally& tally : precommits_) {
+    tally.sigs.resize(config_->members.size());
+  }
 }
 
 void Notary::on_start() {
@@ -79,22 +82,21 @@ void Notary::restore(const std::vector<net::WalRecord>& records) {
 }
 
 void Notary::journal(net::WalRecordKind kind, int round, Value v,
-                     std::vector<std::uint8_t> cert_bytes) {
+                     const crypto::Certificate* cert) {
   if (wal_ == nullptr || behaviour_ != NotaryBehaviour::kHonest) return;
   net::WalRecord r;
   r.kind = kind;
   r.instance = config_->instance;
   r.round = round;
   r.value = static_cast<std::uint8_t>(v);
-  r.cert = std::move(cert_bytes);
+  if (cert != nullptr) {
+    // Serialized only here, with a journal attached: in-sim notaries never
+    // pay for certificate bytes nobody stores.
+    net::WireContext ctx;
+    ctx.roster = &config_->members;
+    r.cert = net::serialize_certificate(*cert, ctx);
+  }
   wal_->append(r);
-}
-
-std::vector<std::uint8_t> Notary::wire_cert_bytes(
-    const crypto::Certificate& c) const {
-  net::WireContext ctx;
-  ctx.roster = &config_->members;
-  return net::serialize_certificate(c, ctx);
 }
 
 bool Notary::is_leader(int round) const {
@@ -307,17 +309,33 @@ void Notary::send_precommit(Value v) {
   broadcast_to_committee(net::kinds::bft_vote, vote);
 }
 
+Notary::PrevoteTally& Notary::prevote_tally(int round) {
+  PrevoteTally* reuse = nullptr;
+  for (PrevoteTally& t : prevotes_) {
+    if (t.round == round) return t;
+    if (reuse == nullptr && t.round < round_) reuse = &t;
+  }
+  if (reuse == nullptr) reuse = &prevotes_.emplace_back();
+  reuse->round = round;
+  for (IndexSet& voters : reuse->voters) voters.reset(config_->members.size());
+  return *reuse;
+}
+
 void Notary::handle_vote(const VoteMsg& v, sim::ProcessId from) {
   if (v.instance != config_->instance) return;
-  const bool member =
-      std::find(config_->members.begin(), config_->members.end(), from) !=
-      config_->members.end();
-  if (!member || from != v.sig.signer) return;
+  const auto& members = config_->members;
+  const auto it = std::find(members.begin(), members.end(), from);
+  if (it == members.end() || from != v.sig.signer) return;
+  const auto member = static_cast<std::size_t>(it - members.begin());
+  const auto value = static_cast<std::size_t>(v.value);
 
   if (v.phase == VoteMsg::Phase::kPrevote) {
+    // A prevote quorum only acts in the current round, and round_ never
+    // decreases: votes for earlier rounds can no longer matter.
+    if (v.round < round_) return;
     if (!keys_.verify(v.sig, prevote_digest(v.instance, v.round, v.value))) return;
-    auto& voters = prevotes_[{v.round, static_cast<int>(v.value)}];
-    voters.insert(from.value());
+    IndexSet& voters = prevote_tally(v.round).voters[value];
+    voters.add(member);
     if (v.round == round_ &&
         static_cast<int>(voters.size()) >= config_->quorum() &&
         !precommitted_this_round_) {
@@ -344,11 +362,12 @@ void Notary::handle_vote(const VoteMsg& v, sim::ProcessId from) {
   const std::uint64_t digest =
       decision_digest(v.instance, config_->committee_identity, v.value);
   if (!keys_.verify(v.sig, digest)) return;
-  auto& sigs = precommits_[static_cast<int>(v.value)];
-  sigs.emplace(from.value(), v.sig);
-  if (static_cast<int>(sigs.size()) >= config_->quorum() && !decided_) {
-    decide(v.value);
+  PrecommitTally& tally = precommits_[value];
+  if (!tally.sigs[member]) {  // a signer's first precommit is the one kept
+    tally.sigs[member] = v.sig;
+    ++tally.count;
   }
+  if (tally.count >= config_->quorum() && !decided_) decide(v.value);
 }
 
 void Notary::handle_new_round(const NewRoundMsg& nr, sim::ProcessId from) {
@@ -375,12 +394,19 @@ void Notary::decide(Value v) {
   decided_ = v;
   if (round_timer_ != 0) cancel_timer(round_timer_);
 
-  // Assemble the quorum certificate from the collected precommit signatures.
+  // Assemble the quorum certificate from the collected precommit
+  // signatures: the first 2f+1 in ascending signer-pid order, whatever the
+  // roster order, so every notary holding the same votes builds the same
+  // certificate bytes.
   std::vector<crypto::Signature> sigs;
-  for (const auto& [signer, sig] : precommits_[static_cast<int>(v)]) {
-    sigs.push_back(sig);
-    if (static_cast<int>(sigs.size()) == config_->quorum()) break;
+  for (const auto& sig : precommits_[static_cast<std::size_t>(v)].sigs) {
+    if (sig) sigs.push_back(*sig);
   }
+  std::sort(sigs.begin(), sigs.end(),
+            [](const crypto::Signature& a, const crypto::Signature& b) {
+              return a.signer.value() < b.signer.value();
+            });
+  sigs.resize(std::min(sigs.size(), static_cast<std::size_t>(config_->quorum())));
   const crypto::Certificate* chi_ptr = nullptr;
   crypto::Certificate chi_store;
   if (v == Value::kCommit) {
@@ -388,16 +414,15 @@ void Notary::decide(Value v) {
     chi_store = *chi_;
     chi_ptr = &chi_store;
   }
-  const crypto::Certificate cert = crypto::make_quorum_cert(
-      cert_kind_of(v), config_->instance, config_->committee_identity,
-      std::move(sigs), chi_ptr);
-  cert_ = cert;
-  journal(net::WalRecordKind::kDecide, round_, v, wire_cert_bytes(cert));
+  cert_ = crypto::make_quorum_cert(cert_kind_of(v), config_->instance,
+                                   config_->committee_identity,
+                                   std::move(sigs), chi_ptr);
+  journal(net::WalRecordKind::kDecide, round_, v, &*cert_);
 
   record_decide_event(v);
 
   auto body = net::make_body<DecisionMsg>();
-  body->cert = cert;
+  body->cert = *cert_;
   for (sim::ProcessId pid : config_->notify) send(pid, net::kinds::tm_cert, body);
   broadcast_to_committee(net::kinds::bft_decision, body);
 }
@@ -430,8 +455,7 @@ void Notary::handle_decision(const DecisionMsg& d) {
   decided_ = cert.kind == crypto::CertKind::kCommit ? Value::kCommit
                                                     : Value::kAbort;
   cert_ = cert;
-  journal(net::WalRecordKind::kDecide, round_, *decided_,
-          wire_cert_bytes(cert));
+  journal(net::WalRecordKind::kDecide, round_, *decided_, &cert);
   if (round_timer_ != 0) cancel_timer(round_timer_);
   // Relay to participants (helps when the original decider's sends were
   // slow); decision relays are idempotent for receivers.

@@ -15,16 +15,17 @@
 // silent (crashes immediately) and equivocator (prevotes and precommits both
 // values, and proposes whichever value it can when leader).
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "consensus/committee.hpp"
 #include "net/network.hpp"
 #include "net/wal.hpp"
 #include "props/trace.hpp"
+#include "support/index_set.hpp"
 
 namespace xcp::consensus {
 
@@ -88,8 +89,7 @@ class Notary : public net::Actor {
   void decide(Value v);
   void record_decide_event(Value v);
   void journal(net::WalRecordKind kind, int round, Value v,
-               std::vector<std::uint8_t> cert_bytes = {});
-  std::vector<std::uint8_t> wire_cert_bytes(const crypto::Certificate& c) const;
+               const crypto::Certificate* cert = nullptr);
 
   std::shared_ptr<const CommitteeConfig> config_;
   crypto::KeyRegistry& keys_;
@@ -111,11 +111,26 @@ class Notary : public net::Actor {
   int lock_round_ = -1;
   sim::TimerId round_timer_ = 0;
 
-  // Vote bookkeeping: prevotes per (round, value) by signer; precommit
-  // signatures per value by signer (accumulated across rounds — they sign
-  // the round-independent decision digest).
-  std::map<std::pair<int, int>, std::set<std::uint32_t>> prevotes_;
-  std::map<int, std::map<std::uint32_t, crypto::Signature>> precommits_;
+  // Vote bookkeeping, by committee member index (the roster position
+  // handle_vote's membership lookup yields), so tallying allocates nothing.
+  //  - Prevotes: a voter bitmap per (round, value). Quorums are only
+  //    checked for the current round, so tallies are kept for round_ and
+  //    the later rounds votes arrived early for; a tally for a round behind
+  //    round_ is dead and its entry is reused.
+  //  - Precommits: one signature slot per (value, member), accumulated
+  //    across rounds (they sign the round-independent decision digest).
+  //    decide() takes the slots in ascending signer-pid order.
+  struct PrevoteTally {
+    int round = -1;
+    std::array<IndexSet, 2> voters;  // by Value
+  };
+  struct PrecommitTally {
+    std::vector<std::optional<crypto::Signature>> sigs;  // by member index
+    int count = 0;
+  };
+  PrevoteTally& prevote_tally(int round);
+  std::vector<PrevoteTally> prevotes_;
+  std::array<PrecommitTally, 2> precommits_;  // by Value
   // Highest locked value reported by peers entering the current round.
   std::optional<Value> reported_lock_;
   int reported_lock_round_ = -1;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
+#include "support/index_set.hpp"
 #include "support/status.hpp"
 
 namespace xcp::crypto {
@@ -116,15 +116,19 @@ bool verify_quorum_cert(const KeyRegistry& reg, const Certificate& cert,
   // members with valid signatures over D. The notary digest includes the
   // committee identity via cert.issuer, so votes for different committees
   // never cross-validate.
-  std::unordered_set<std::uint32_t> seen;
+  // Signers are deduplicated by member index (the first roster position
+  // holding the pid) in a bitmap: no allocation for committees up to
+  // IndexSet::kInlineIndices.
+  IndexSet seen(committee_members.size());
   const std::uint64_t digest = cert.digest();
   std::size_t good = 0;
   for (const Signature& sig : cert.quorum) {
-    const bool member =
-        std::find(committee_members.begin(), committee_members.end(),
-                  sig.signer) != committee_members.end();
-    if (!member) continue;
-    if (!seen.insert(sig.signer.value()).second) continue;  // dedupe signer
+    const auto it = std::find(committee_members.begin(),
+                              committee_members.end(), sig.signer);
+    if (it == committee_members.end()) continue;  // not a member
+    const auto index =
+        static_cast<std::size_t>(it - committee_members.begin());
+    if (!seen.add(index)) continue;  // dedupe signer
     if (!reg.verify(sig, digest)) continue;
     ++good;
   }

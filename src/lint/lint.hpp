@@ -129,6 +129,12 @@ struct Config {
       {"src/sim/event_queue.cpp", "cancel"},
       {"src/sim/event_queue.cpp", "remove_at"},
       {"src/props/trace.hpp", "record"},
+      {"src/support/hash.cpp", "write_u64"},
+      {"src/support/hash.cpp", "write_u32"},
+      {"src/support/hash.cpp", "write_str"},
+      {"src/crypto/certificate.cpp", "verify_quorum_cert"},
+      {"src/consensus/notary.cpp", "handle_vote"},
+      {"src/net/network.cpp", "deliver_batch"},
   };
 };
 

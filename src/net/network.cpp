@@ -104,15 +104,14 @@ void Network::send(sim::ProcessId from, sim::ProcessId to, MsgKind kind,
     return;
   }
   ActorEntry& entry = *found;
-  if (entry.open_batch == kNoBatch || entry.open_at != deliver_at) {
+  if (entry.open_batch == kNone || entry.open_at != deliver_at) {
     const std::uint32_t bi = acquire_batch();
     batches_[bi].to = to;
-    batches_[bi].at = deliver_at;
     entry.open_batch = bi;
     entry.open_at = deliver_at;
     sim_.schedule_at(deliver_at, [this, bi] { deliver_batch(bi); });
   }
-  batches_[entry.open_batch].msgs.push_back(std::move(m));
+  enqueue(entry.open_batch, std::move(m));
 }
 
 void Network::inject(Message m) {
@@ -122,13 +121,36 @@ void Network::inject(Message m) {
 }
 
 std::uint32_t Network::acquire_batch() {
-  if (free_batch_ != kNoBatch) {
+  if (free_batch_ != kNone) {
     const std::uint32_t bi = free_batch_;
     free_batch_ = batches_[bi].next_free;
     return bi;
   }
   batches_.emplace_back();
   return static_cast<std::uint32_t>(batches_.size() - 1);
+}
+
+std::uint32_t Network::acquire_slot() {
+  if (free_slot_ != kNone) {
+    const std::uint32_t si = free_slot_;
+    free_slot_ = slots_[si].next;
+    return si;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Network::enqueue(std::uint32_t batch_idx, Message m) {
+  const std::uint32_t si = acquire_slot();
+  slots_[si].msg = std::move(m);
+  slots_[si].next = kNone;
+  Batch& b = batches_[batch_idx];
+  if (b.tail == kNone) {
+    b.head = si;
+  } else {
+    slots_[b.tail].next = si;
+  }
+  b.tail = si;
 }
 
 void Network::record_deliver(const Message& m, TimePoint local_at) {
@@ -159,16 +181,27 @@ void Network::deliver(Message m) {
 void Network::deliver_batch(std::uint32_t batch_idx) {
   // Close the batch *before* delivering: a handler may send to this same
   // destination at this same instant, which must open a fresh batch (and a
-  // fresh event) rather than append to the one being drained. The messages
-  // are moved out because handlers can grow batches_ (invalidating
-  // references) while we iterate.
-  const sim::ProcessId to = batches_[batch_idx].to;
+  // fresh event) rather than append to the one being drained. The batch
+  // goes back to its freelist at once; only its chain is still walked.
+  Batch& batch = batches_[batch_idx];
+  const sim::ProcessId to = batch.to;
+  std::uint32_t si = batch.head;
+  batch.head = batch.tail = kNone;
+  batch.next_free = free_batch_;
+  free_batch_ = batch_idx;
   if (ActorEntry* entry = entry_for(to);
       entry != nullptr && entry->open_batch == batch_idx) {
-    entry->open_batch = kNoBatch;
+    entry->open_batch = kNone;
   }
-  std::vector<Message> msgs = std::move(batches_[batch_idx].msgs);
-  for (Message& m : msgs) {
+  while (si != kNone) {
+    // Move the message out and free its slot before the handler runs:
+    // handlers send, which can grow slots_ (invalidating references).
+    Slot& slot = slots_[si];
+    const Message m = std::move(slot.msg);
+    const std::uint32_t next = slot.next;
+    slot.next = free_slot_;
+    free_slot_ = si;
+    si = next;
     // Re-resolve per message: a handler's attach() may grow actors_,
     // invalidating entry pointers mid-loop.
     ActorEntry* entry = entry_for(to);
@@ -180,11 +213,6 @@ void Network::deliver_batch(std::uint32_t batch_idx) {
     record_deliver(m, actor->local_now());
     actor->on_message(m);
   }
-  // Return the (cleared, capacity-preserving) vector and batch to the slab.
-  msgs.clear();
-  batches_[batch_idx].msgs = std::move(msgs);
-  batches_[batch_idx].next_free = free_batch_;
-  free_batch_ = batch_idx;
 }
 
 }  // namespace xcp::net

@@ -99,29 +99,39 @@ class Network {
   props::TraceRecorder* trace() { return trace_; }
 
  private:
-  static constexpr std::uint32_t kNoBatch = 0xffffffffu;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// A pending same-(destination, instant) delivery batch. Slab-allocated
-  /// and recycled through a freelist; the message vector keeps its capacity
-  /// across reuse, so steady-state batching allocates nothing.
+  /// One pending message in the Network-wide slab. `next` links the slot
+  /// into its batch's FIFO chain, or into the freelist once delivered.
+  struct Slot {
+    Message msg;
+    std::uint32_t next = kNone;
+  };
+
+  /// A pending same-(destination, instant) delivery batch: a head/tail
+  /// chain of slots. Batches and slots are both slab-allocated and
+  /// recycled through freelists, so steady-state batching allocates
+  /// nothing, whatever the batch sizes.
   struct Batch {
     sim::ProcessId to;
-    TimePoint at;
-    std::vector<Message> msgs;
-    std::uint32_t next_free = kNoBatch;
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    std::uint32_t next_free = kNone;
   };
 
   struct ActorEntry {
     Actor* actor = nullptr;
     // The still-open batch for this destination, if any: subsequent sends
     // resolving to the same instant append to it instead of scheduling.
-    std::uint32_t open_batch = kNoBatch;
+    std::uint32_t open_batch = kNone;
     TimePoint open_at;
   };
 
   void deliver(Message m);
   void deliver_batch(std::uint32_t batch_idx);
+  void enqueue(std::uint32_t batch_idx, Message m);
   std::uint32_t acquire_batch();
+  std::uint32_t acquire_slot();
   void record_deliver(const Message& m, TimePoint local_at);
 
   /// O(1) flat lookup: ProcessIds are dense simulator-assigned indices.
@@ -139,7 +149,9 @@ class Network {
   Transport* gateway_ = nullptr;
   std::vector<ActorEntry> actors_;  // indexed by ProcessId value
   std::vector<Batch> batches_;
-  std::uint32_t free_batch_ = kNoBatch;
+  std::uint32_t free_batch_ = kNone;
+  std::vector<Slot> slots_;
+  std::uint32_t free_slot_ = kNone;
   std::uint64_t next_message_id_ = 1;
   double drop_probability_ = 0.0;
   Rng rng_;

@@ -39,7 +39,7 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
 }
 
 void HashWriter::write_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  for (int i = 0; i < 8; ++i) write_byte(static_cast<unsigned char>(v >> (8 * i)));
 }
 
 void HashWriter::write_i64(std::int64_t v) {
@@ -47,14 +47,12 @@ void HashWriter::write_i64(std::int64_t v) {
 }
 
 void HashWriter::write_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  for (int i = 0; i < 4; ++i) write_byte(static_cast<unsigned char>(v >> (8 * i)));
 }
 
 void HashWriter::write_str(std::string_view s) {
   write_u64(s.size());
-  buf_.append(s);
+  for (unsigned char c : s) write_byte(c);
 }
-
-std::uint64_t HashWriter::digest() const { return fnv1a64(buf_); }
 
 }  // namespace xcp

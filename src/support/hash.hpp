@@ -4,7 +4,6 @@
 // a simulated scheme is sound in this model.
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace xcp {
@@ -23,9 +22,13 @@ inline std::uint32_t crc32(std::string_view bytes) {
 /// Order-dependent combinator (boost-style golden-ratio mix).
 std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
 
-/// A tiny growable byte-buffer for hashing structured data in a canonical,
-/// platform-independent order. All protocol objects that get signed or
-/// content-addressed serialize through this.
+/// Hashes structured data in a canonical, platform-independent order
+/// (little-endian integers, length-prefixed strings). All protocol objects
+/// that get signed or content-addressed serialize through this.
+///
+/// FNV-1a is a streaming hash, so the writer keeps only the running state:
+/// digest() equals fnv1a64() over the concatenated bytes, without buffering
+/// them (no allocation on the vote-signing path).
 class HashWriter {
  public:
   void write_u64(std::uint64_t v);
@@ -34,12 +37,17 @@ class HashWriter {
   void write_str(std::string_view s);
 
   /// Digest of everything written so far.
-  std::uint64_t digest() const;
-
-  const std::string& bytes() const { return buf_; }
+  std::uint64_t digest() const { return state_; }
 
  private:
-  std::string buf_;
+  void write_byte(unsigned char c) {
+    state_ ^= c;
+    state_ *= kFnvPrime;
+  }
+
+  static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+  std::uint64_t state_ = kFnvOffset;
 };
 
 }  // namespace xcp

@@ -212,5 +212,34 @@ TEST(InclusionProof, TamperingOrWrongChainRejected) {
   EXPECT_FALSE(verify_inclusion(rig.keys, rig.chain_ptr->id(), forged));
 }
 
+TEST(ByteIdentity, TransactionIdsAndBlockHashesArePinned) {
+  // Golden values: a transaction id is what its signature and inclusion
+  // proofs commit to, and a block hash chains the ledger.
+  crypto::KeyRegistry keys(1);
+  const auto signer = keys.signer_for(sim::ProcessId(3));
+  EXPECT_EQ(make_signed_tx(signer, "c", "op", 1, 2).digest(), 0xe61ad74aa810dbfaULL);
+  const crypto::Certificate chi =
+      crypto::make_payment_cert(keys.signer_for(sim::ProcessId(4)), 9);
+  EXPECT_EQ(make_signed_tx(signer, "tm", "submit-chi", 9, 0, chi).digest(),
+            0x6b955bffcbff1771ULL);
+
+  Rig rig;
+  const auto client = rig.keys.signer_for(rig.client_ptr->id());
+  rig.sim.schedule_at(TimePoint::origin(), [&] {
+    rig.client_ptr->submit(rig.chain_ptr->id(),
+                           make_signed_tx(client, "counter", "inc", 5));
+    rig.client_ptr->submit(rig.chain_ptr->id(),
+                           make_signed_tx(client, "counter", "emit"));
+  });
+  rig.sim.schedule_at(TimePoint::origin() + Duration::millis(250),
+                      [&] { rig.chain_ptr->stop(); });
+  rig.sim.run();
+  const auto& blocks = rig.chain_ptr->blocks();
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].txs.size(), 2u);
+  EXPECT_EQ(blocks[0].hash, 0x4c527c08b717de91ULL);
+  EXPECT_EQ(blocks[1].hash, 0x6d017e162d9bddacULL);
+}
+
 }  // namespace
 }  // namespace xcp::chain

@@ -4,19 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "consensus/notary.hpp"
+#include "consensus/standalone.hpp"
 #include "net/delay_model.hpp"
 #include "net/network.hpp"
+#include "net/wire.hpp"
 #include "proto/bodies.hpp"
 #include "sim/simulator.hpp"
+#include "support/hash.hpp"
 
 namespace xcp::consensus {
 namespace {
 
 struct Rig {
+  /// Notaries get pids 0..m-1; `roster` (a permutation of them, default
+  /// ascending) is the committee's member order, which fixes round leaders.
   explicit Rig(int m, std::uint64_t seed, TimePoint gst,
                int byzantine = 0,
-               NotaryBehaviour byz = NotaryBehaviour::kSilent) {
+               NotaryBehaviour byz = NotaryBehaviour::kSilent,
+               const std::vector<std::uint32_t>& roster = {}) {
     sim = std::make_unique<sim::Simulator>(seed);
     net = std::make_unique<net::Network>(
         *sim, std::make_unique<net::PartialSynchronyModel>(
@@ -40,7 +49,9 @@ struct Rig {
     config->validity.keys = keys.get();
 
     for (int i = 0; i < m; ++i) {
-      config->members.push_back(sim::ProcessId(static_cast<std::uint32_t>(i)));
+      config->members.push_back(sim::ProcessId(
+          roster.empty() ? static_cast<std::uint32_t>(i)
+                         : roster[static_cast<std::size_t>(i)]));
     }
     for (int i = 0; i < m; ++i) {
       auto behaviour = i < byzantine ? byz : NotaryBehaviour::kHonest;
@@ -222,6 +233,89 @@ TEST(Consensus, DecisionCertificateVerifies) {
       5, rig.config->committee_identity, Value::kCommit);
   (void)digest;  // digest consistency is covered by test_crypto quorum tests
   EXPECT_GE(rig.trace.count_label(props::EventKind::kDecide, "commit"), 1u);
+}
+
+TEST(Consensus, CertificateListsSignersInPidOrderWhateverTheRoster) {
+  // The roster is deliberately not in pid order (it also moves the round-0
+  // leader off pid 0). Certificates must still list the quorum's signatures
+  // in ascending signer pid, so certificate bytes never depend on roster
+  // order or on which member's votes arrived first.
+  const std::vector<std::uint32_t> roster = {4, 6, 1, 0, 5, 3, 2};
+  Rig rig(7, 11, TimePoint::origin() + Duration::millis(300), 0,
+          NotaryBehaviour::kSilent, roster);
+  rig.feed_commit_evidence({0, 1, 2, 3, 4, 5, 6}, Duration::millis(100));
+  rig.sim->run_until(TimePoint::origin() + Duration::seconds(60));
+  ASSERT_EQ(rig.decided_count(Value::kCommit), 7);
+  for (const Notary* n : rig.notaries) {
+    ASSERT_TRUE(n->decision_cert().has_value());
+    const crypto::Certificate& cert = *n->decision_cert();
+    ASSERT_EQ(cert.quorum.size(),
+              static_cast<std::size_t>(rig.config->quorum()));
+    for (std::size_t k = 1; k < cert.quorum.size(); ++k) {
+      EXPECT_LT(cert.quorum[k - 1].signer.value(),
+                cert.quorum[k].signer.value());
+    }
+    EXPECT_TRUE(crypto::verify_quorum_cert(
+        *rig.keys, cert, rig.config->members,
+        static_cast<std::size_t>(rig.config->quorum())));
+  }
+}
+
+// ------------------------------------------------------- byte identity
+//
+// Golden values: digests and certificate bytes are what signatures and the
+// wire commit to, so any change to how they are computed must show up here
+// rather than as a silent cross-version incompatibility.
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  std::string out;
+  char buf[3];
+  for (std::uint8_t b : bytes) {
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(ByteIdentity, DigestsArePinned) {
+  EXPECT_EQ(crypto::statement_digest("escrowed", 13, sim::ProcessId(5), 7),
+            0x91f1cfde11204924ULL);
+  EXPECT_EQ(crypto::statement_digest("abort-petition", 13, sim::ProcessId()),
+            0x44ea98db8b873961ULL);
+  EXPECT_EQ(proposal_digest(13, 2, Value::kCommit), 0xfed2e233f06f4c03ULL);
+  EXPECT_EQ(prevote_digest(13, 2, Value::kCommit), 0x3c6c5a41895ad5ddULL);
+  EXPECT_EQ(prevote_digest(13, 0, Value::kAbort), 0x92cc9c23dac3e606ULL);
+  EXPECT_EQ(decision_digest(13, sim::ProcessId(3'000'013), Value::kCommit),
+            0xe626aa6f23122627ULL);
+  EXPECT_EQ(decision_digest(13, sim::ProcessId(3'000'013), Value::kAbort),
+            0xdc2568d1254181e9ULL);
+  crypto::Certificate chi;
+  chi.kind = crypto::CertKind::kPayment;
+  chi.deal_id = 13;
+  chi.issuer = sim::ProcessId(2);
+  EXPECT_EQ(chi.digest(), 0xb5e95f2e64226debULL);
+}
+
+TEST(ByteIdentity, StandaloneCertificateBytesArePinned) {
+  StandaloneCommittee sc;
+  sc.notaries = 4;
+  CommitteeOutcome out = run_standalone_sim(sc);
+  ASSERT_TRUE(out.cert_valid);
+  std::vector<sim::ProcessId> roster = sc.notary_pids();
+  net::WireContext ctx;
+  ctx.roster = &roster;
+  EXPECT_EQ(hex(net::serialize_certificate(out.cert, ctx)),
+            "5843504d01000000010d00000000000000cdc62d00ffffffff00000000000000"
+            "000102000000020000003fc0357189f2c167010700000000000000557a09773c"
+            "f12b3bcbba8f556450e590623eb3548cc94548");
+
+  sc.notaries = 64;
+  out = run_standalone_sim(sc);
+  ASSERT_TRUE(out.cert_valid);
+  roster = sc.notary_pids();
+  const std::vector<std::uint8_t> bytes = net::serialize_certificate(out.cert, ctx);
+  EXPECT_EQ(bytes.size(), 403u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x4de57ac6u);
 }
 
 }  // namespace

@@ -178,5 +178,47 @@ TEST(QuorumCert, CommitQuorumRequiresEmbeddedChi) {
   EXPECT_FALSE(verify_quorum_cert(reg, without, committee5(), 3));
 }
 
+TEST(QuorumCert, RosterOrderDoesNotMatter) {
+  // Signers are deduplicated by roster position; a roster that is not in
+  // pid order must still count each member once and nobody else.
+  KeyRegistry reg(4);
+  const sim::ProcessId cid = pid(500);
+  const std::vector<sim::ProcessId> roster = {pid(33), pid(30), pid(34),
+                                              pid(31), pid(32)};
+  const Certificate cert = quorum_abort(reg, 3, cid, 9);
+  EXPECT_TRUE(verify_quorum_cert(reg, cert, roster, 3));
+  EXPECT_FALSE(verify_quorum_cert(reg, cert, roster, 4));  // below threshold
+
+  Certificate dup = quorum_abort(reg, 2, cid, 9);
+  dup.quorum.push_back(dup.quorum.back());
+  EXPECT_FALSE(verify_quorum_cert(reg, dup, roster, 3));
+
+  Certificate outsider = quorum_abort(reg, 2, cid, 9);
+  outsider.quorum.push_back(reg.signer_for(pid(77)).sign(outsider.digest()));
+  EXPECT_FALSE(verify_quorum_cert(reg, outsider, roster, 3));
+}
+
+TEST(QuorumCert, LargeCommitteeDedupesSigners) {
+  // A 300-member roster spills the signer bitmap past its inline words.
+  KeyRegistry reg(6);
+  const sim::ProcessId cid = pid(5000);
+  std::vector<sim::ProcessId> roster;
+  for (std::uint32_t i = 0; i < 300; ++i) roster.push_back(pid(1000 + i));
+  Certificate shape;
+  shape.kind = CertKind::kAbort;
+  shape.deal_id = 9;
+  shape.issuer = cid;
+  std::vector<Signature> sigs;
+  for (std::size_t k = 0; k < 199; ++k) {
+    sigs.push_back(reg.signer_for(roster[299 - k]).sign(shape.digest()));
+  }
+  Certificate cert = make_quorum_cert(CertKind::kAbort, 9, cid, sigs);
+  EXPECT_FALSE(verify_quorum_cert(reg, cert, roster, 200));
+  cert.quorum.push_back(cert.quorum.front());  // a duplicate adds nothing
+  EXPECT_FALSE(verify_quorum_cert(reg, cert, roster, 200));
+  cert.quorum.back() = reg.signer_for(roster[0]).sign(shape.digest());
+  EXPECT_TRUE(verify_quorum_cert(reg, cert, roster, 200));
+}
+
 }  // namespace
 }  // namespace xcp::crypto

@@ -145,6 +145,44 @@ TEST(Network, BodySharedAcrossDeliveries) {
   EXPECT_EQ(body.use_count(), 1);  // network released its reference
 }
 
+TEST(Network, SameInstantBatchDeliversInSendOrderAndClosesFirst) {
+  // Sends to one destination resolving to one instant share a batch (one
+  // simulator event) and deliver in send order. The batch is closed before
+  // it drains: a same-instant send from a handler opens a second batch and
+  // event, delivered after the whole first one.
+  sim::Simulator sim(19);
+  Network net(sim, std::make_unique<SynchronousModel>(Duration::zero(),
+                                                      Duration::zero()));
+  class Echo final : public Actor {
+   public:
+    std::vector<std::string> received;
+    void on_message(const Message& m) override {
+      received.push_back(m.kind.str());
+      if (m.kind == "m1") {
+        for (const char* k : {"x0", "x1", "x2"}) send(id(), k);
+      }
+    }
+  };
+  auto& a = sim.spawn<Recorder>("a");
+  auto& b = sim.spawn<Echo>("b");
+  net.attach(a);
+  net.attach(b);
+  sim.schedule_at(TimePoint::origin(), [&] {
+    for (const char* k : {"m0", "m1", "m2", "m3"}) a.send(b.id(), k);
+  });
+  // Runs before the batch above is delivered, so it appends to it.
+  sim.schedule_at(TimePoint::origin(), [&] {
+    for (const char* k : {"n0", "n1"}) a.send(b.id(), k);
+  });
+  sim.run();
+  const std::vector<std::string> want = {"m0", "m1", "m2", "m3", "n0",
+                                         "n1", "x0", "x1", "x2"};
+  EXPECT_EQ(b.received, want);
+  EXPECT_EQ(net.stats().messages_delivered, want.size());
+  // Two on_start events, the two senders, and exactly two batch events.
+  EXPECT_EQ(sim.events_executed(), 6u);
+}
+
 // --------------------------------------------------------------- Adversary
 
 TEST(RuleBasedAdversary, HoldsMatchingMessagesUntilRelease) {

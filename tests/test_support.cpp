@@ -6,6 +6,7 @@
 
 #include "support/amount.hpp"
 #include "support/hash.hpp"
+#include "support/index_set.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 #include "support/table.hpp"
@@ -200,6 +201,47 @@ TEST(Hash, HashWriterStringFraming) {
   b.write_str("a");
   b.write_str("bc");
   EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(Hash, HashWriterStreamsFnv1aOverTheCanonicalBytes) {
+  // The writer never buffers, but its digest is FNV-1a over exactly the
+  // little-endian, length-prefixed byte string the fields encode to.
+  HashWriter w;
+  w.write_str("ab");
+  w.write_u32(0x01020304u);
+  w.write_u64(0x1122334455667788ULL);
+  w.write_i64(-1);
+  const std::string bytes =
+      std::string("\x02\0\0\0\0\0\0\0ab", 10) +
+      std::string("\x04\x03\x02\x01", 4) +
+      std::string("\x88\x77\x66\x55\x44\x33\x22\x11", 8) +
+      std::string(8, '\xff');
+  EXPECT_EQ(w.digest(), fnv1a64(bytes));
+  EXPECT_EQ(HashWriter().digest(), fnv1a64(""));
+}
+
+// ----------------------------------------------------------------- IndexSet
+
+TEST(IndexSet, AddReportsNewMembersInlineAndSpilled) {
+  IndexSet s(64);
+  EXPECT_TRUE(s.add(0));
+  EXPECT_TRUE(s.add(63));
+  EXPECT_FALSE(s.add(0));
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_THROW(s.add(64), std::logic_error);
+
+  // Past kInlineIndices the bitmap lives on the heap; behaviour is the same.
+  const std::size_t n = IndexSet::kInlineIndices * 2 + 3;
+  s.reset(n);
+  EXPECT_EQ(s.size(), 0u);
+  for (std::size_t i = 0; i < n; i += 3) EXPECT_TRUE(s.add(i));
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(s.add(i), i % 3 != 0);
+  EXPECT_EQ(s.size(), n);
+  EXPECT_THROW(s.add(n), std::logic_error);
+
+  s.reset(8);  // back to the inline words, emptied
+  EXPECT_TRUE(s.add(0));
+  EXPECT_EQ(s.size(), 1u);
 }
 
 // ------------------------------------------------------------------- Status
