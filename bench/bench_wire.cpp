@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "consensus/messages.hpp"
@@ -148,11 +149,12 @@ void BM_WireStreamExtract(benchmark::State& state) {
     net::append_stream_frame(batch, payload.data(), payload.size());
   }
   for (auto _ : state) {
-    Bytes rx = batch;
-    Bytes frame;
+    std::size_t off = 0;
+    std::span<const std::uint8_t> frame;
     int n = 0;
-    while (net::extract_stream_frame(rx, frame)) ++n;
+    while (net::extract_stream_frame(batch, off, frame)) ++n;
     benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(frame.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch.size()));

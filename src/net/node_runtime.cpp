@@ -52,7 +52,9 @@ bool NodeRuntime::run(Millis wall_limit, const std::function<bool()>& done) {
     if (now >= deadline) return false;
 
     // Sleep inside poll() until the next virtual event is due, capped so
-    // inbound traffic and supervision stay fresh.
+    // inbound traffic and supervision stay fresh. The gap rounds up: an
+    // event under a millisecond away fires at most 1 ms late instead of
+    // being waited for with zero-timeout pumps; one already due waits 0.
     Millis wait = kMaxPump;
     if (auto next = sim_.next_event_time()) {
       const std::int64_t gap_us =
@@ -62,10 +64,11 @@ bool NodeRuntime::run(Millis wall_limit, const std::function<bool()>& done) {
                                 std::chrono::microseconds>(now - wall_origin_)
                                 .count()))
               .count();
-      wait = std::clamp(Millis(gap_us / 1000), Millis(0), kMaxPump);
+      wait = std::clamp(std::chrono::ceil<Millis>(
+                            std::chrono::microseconds(gap_us)),
+                        Millis(0), kMaxPump);
     }
-    wait = std::min(
-        wait, std::chrono::duration_cast<Millis>(deadline - now) + Millis(1));
+    wait = std::min(wait, std::chrono::ceil<Millis>(deadline - now));
     transport_.pump(wait);
   }
 }

@@ -41,7 +41,8 @@ class NodeRuntime {
   /// Runs until `done()` returns true or `wall_limit` elapses. Returns
   /// true iff done() fired. The simulator's virtual clock tracks the wall
   /// clock; between event slices the transport is pumped with a wait sized
-  /// by the next pending virtual event.
+  /// by the next pending virtual event, rounded up to whole milliseconds
+  /// (an event fires at most 1 ms late; the loop never spins toward it).
   bool run(Millis wall_limit, const std::function<bool()>& done);
 
   /// Keeps the clock advancing and the transport pumping for `extra` more

@@ -17,14 +17,13 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "support/rng.hpp"
 
 namespace xcp::net {
 namespace {
-
-constexpr std::size_t kReadChunk = 64 * 1024;
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error("socket transport: " + what + ": " +
@@ -441,21 +440,29 @@ void SocketTransport::heard_from(std::int64_t node, Clock::time_point now,
 
 bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
   for (;;) {
-    std::uint8_t buf[kReadChunk];
-    const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
+    // drain_frames leaves less than one whole frame, so there is room.
+    const std::size_t room = rx_capacity() - c.rx_len;
+    const ssize_t n = ::recv(c.fd, c.rx.get() + c.rx_len, room, 0);
     if (n > 0) {
-      c.rx.insert(c.rx.end(), buf, buf + n);
-      if (static_cast<std::size_t>(n) < sizeof buf) break;
+      c.rx_len += static_cast<std::size_t>(n);
+      if (!drain_frames(c, now)) return false;
+      if (static_cast<std::size_t>(n) < room) return true;
       continue;
     }
     if (n == 0) return false;  // EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     if (errno == EINTR) continue;
     return false;
   }
+}
+
+bool SocketTransport::drain_frames(InConn& c, Clock::time_point now) {
+  std::size_t off = 0;
+  std::span<const std::uint8_t> frame;
   try {
-    while (extract_stream_frame(c.rx, frame_, opts_.max_frame_bytes)) {
-      ParsedFrame pf = parse_frame(frame_.data(), frame_.size(), opts_.wire);
+    while (extract_stream_frame({c.rx.get(), c.rx_len}, off, frame,
+                                opts_.max_frame_bytes)) {
+      ParsedFrame pf = parse_frame(frame.data(), frame.size(), opts_.wire);
       ++stats_.frames_received;
       if (pf.is_control()) {
         if (pf.control.kind == WireKind::kHello) {
@@ -490,6 +497,10 @@ bool SocketTransport::read_conn(InConn& c, Clock::time_point now) {
     // connection, keep the process alive.
     ++stats_.wire_rejects;
     return false;
+  }
+  if (off > 0) {
+    c.rx_len -= off;
+    std::memmove(c.rx.get(), c.rx.get() + off, c.rx_len);
   }
   return true;
 }
@@ -555,11 +566,12 @@ bool SocketTransport::pump(Millis max_wait) {
   }
 
   // Wake in time for the nearest scheduled obligation: a due dial, the
-  // next heartbeat, or a peer-death deadline.
+  // next heartbeat, or a peer-death deadline. The wait rounds up, so one
+  // under a millisecond away is slept through (firing at most 1 ms late)
+  // instead of being polled for with zero timeouts until it is due.
   std::int64_t wait_ms = max_wait.count();
   auto consider = [&](Clock::time_point at) {
-    const auto d =
-        std::chrono::duration_cast<Millis>(at - now).count();
+    const auto d = std::chrono::ceil<Millis>(at - now).count();
     wait_ms = std::min(wait_ms, std::max<std::int64_t>(0, d));
   };
   consider(next_heartbeat_);
@@ -587,6 +599,8 @@ bool SocketTransport::pump(Millis max_wait) {
             if (!listen_addr_.is_unix) set_tcp_nodelay(cfd);
             InConn c;
             c.fd = cfd;
+            c.rx = std::make_unique_for_overwrite<std::uint8_t[]>(
+                rx_capacity());
             conns_.push_back(std::move(c));
           }
           break;

@@ -39,6 +39,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -179,7 +180,10 @@ class SocketTransport final : public Transport {
 
   /// One supervision + multiplexing step: dials due peers, flushes pending
   /// writes, reads and dispatches inbound frames, emits due heartbeats,
-  /// applies the peer-death deadline. Blocks in poll() at most `max_wait`.
+  /// applies the peer-death deadline. Blocks in poll() at most `max_wait`,
+  /// and less when a dial, heartbeat or peer deadline falls due sooner; that
+  /// wait is rounded up to whole milliseconds, so an obligation fires at
+  /// most 1 ms late and a pump never spins on one that is not yet due.
   /// Returns true if at least one protocol message was received.
   bool pump(Millis max_wait);
 
@@ -210,10 +214,15 @@ class SocketTransport final : public Transport {
   };
 
   /// An accepted (receive-only) connection; `node` is unknown (-1) until
-  /// the Hello frame arrives.
+  /// the Hello frame arrives. `rx` is allocated once, at accept, with room
+  /// for the largest legal frame (rx_capacity()): recv fills its free tail,
+  /// whole frames are parsed in place and the partial frame left over moves
+  /// to the front. However many frames pile up in the socket, the buffer
+  /// never grows; its pages are touched only as bytes arrive.
   struct InConn {
     int fd = -1;
-    std::vector<std::uint8_t> rx;
+    std::unique_ptr<std::uint8_t[]> rx;
+    std::size_t rx_len = 0;
     std::int64_t node = -1;
   };
 
@@ -228,7 +237,9 @@ class SocketTransport final : public Transport {
   void queue_frame(Peer& p, const std::vector<std::uint8_t>& payload,
                    Clock::time_point now);
   void queue_control(Peer& p, const ControlFrame& f, Clock::time_point now);
+  std::size_t rx_capacity() const { return 4 + opts_.max_frame_bytes; }
   bool read_conn(InConn& c, Clock::time_point now);  // false = drop conn
+  bool drain_frames(InConn& c, Clock::time_point now);  // false = drop conn
   void heard_from(std::int64_t node, Clock::time_point now,
                   bool hello = false);
   void check_deadlines(Clock::time_point now);
@@ -253,7 +264,6 @@ class SocketTransport final : public Transport {
   enum class Slot { kListener, kConn, kPeer };
   std::vector<pollfd> poll_fds_;
   std::vector<std::pair<Slot, std::size_t>> poll_slots_;
-  std::vector<std::uint8_t> frame_;
   std::vector<std::uint8_t> heartbeat_payload_;
   SocketTransportStats stats_;
   bool closed_ = false;

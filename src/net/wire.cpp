@@ -1012,13 +1012,15 @@ void append_stream_frame(std::vector<std::uint8_t>& stream,
   stream.insert(stream.end(), payload, payload + size);
 }
 
-bool extract_stream_frame(std::vector<std::uint8_t>& stream,
-                          std::vector<std::uint8_t>& frame,
+bool extract_stream_frame(std::span<const std::uint8_t> stream,
+                          std::size_t& offset,
+                          std::span<const std::uint8_t>& frame,
                           std::size_t max_frame) {
-  if (stream.size() < 4) return false;
+  const std::span<const std::uint8_t> rest = stream.subspan(offset);
+  if (rest.size() < 4) return false;
   std::uint32_t len = 0;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(stream[i]) << (8 * i);
+    len |= static_cast<std::uint32_t>(rest[i]) << (8 * i);
   }
   if (len > max_frame) {
     throw WireError("stream announces a " + std::to_string(len) +
@@ -1026,9 +1028,9 @@ bool extract_stream_frame(std::vector<std::uint8_t>& stream,
                         "-byte cap",
                     0);
   }
-  if (stream.size() < 4 + static_cast<std::size_t>(len)) return false;
-  frame.assign(stream.begin() + 4, stream.begin() + 4 + len);
-  stream.erase(stream.begin(), stream.begin() + 4 + len);
+  if (rest.size() < 4 + static_cast<std::size_t>(len)) return false;
+  frame = rest.subspan(4, len);
+  offset += 4 + static_cast<std::size_t>(len);
   return true;
 }
 

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -231,12 +232,15 @@ inline crypto::Certificate parse_certificate(
 void append_stream_frame(std::vector<std::uint8_t>& stream,
                          const std::uint8_t* payload, std::size_t size);
 
-/// Extracts the next complete frame from the front of `stream`, erasing
-/// the consumed bytes. Returns false when the buffer holds only a partial
-/// frame. Throws WireError when the announced length exceeds `max_frame`
-/// (stream is poisoned; callers drop the connection).
-bool extract_stream_frame(std::vector<std::uint8_t>& stream,
-                          std::vector<std::uint8_t>& frame,
+/// Finds the next complete frame in stream[offset, stream.size()): points
+/// `frame` at its payload (a view into `stream`) and advances `offset` past
+/// it. Returns false when only a partial frame remains. Nothing is erased,
+/// so a reader drains every whole frame and then drops the consumed prefix
+/// [0, offset) once. Throws WireError when the announced length exceeds
+/// `max_frame` (stream is poisoned; callers drop the connection).
+bool extract_stream_frame(std::span<const std::uint8_t> stream,
+                          std::size_t& offset,
+                          std::span<const std::uint8_t>& frame,
                           std::size_t max_frame = kMaxWireFrame);
 
 }  // namespace xcp::net

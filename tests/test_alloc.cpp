@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 
 #include "consensus/messages.hpp"
 #include "crypto/certificate.hpp"
@@ -318,7 +317,9 @@ TEST(ZeroAlloc, OnlineMonitorOnEventSteadyState) {
 TEST(ZeroAlloc, SocketTransportIdlePumpSteadyState) {
   // A connected pair with nothing to say but heartbeats: every pump polls,
   // and the ones that find a heartbeat due queue, flush, read and parse a
-  // frame. After warm-up none of that may touch the heap.
+  // frame. After warm-up none of that may touch the heap — not even when
+  // one side stops reading for a while and the heartbeats it missed arrive
+  // together in one burst.
   using namespace std::chrono_literals;
   char tmpl[] = "/tmp/xcp_alloc.XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
@@ -330,25 +331,39 @@ TEST(ZeroAlloc, SocketTransportIdlePumpSteadyState) {
     net::SocketTransport b(1, "unix:" + dir + "/b.sock", opts);
     a.add_peer(1, "unix:" + dir + "/b.sock");
     b.add_peer(0, "unix:" + dir + "/a.sock");
-    // pump() spins rather than sleeps when its next obligation is under a
-    // millisecond away, so pace the loop to let heartbeats fall due.
-    const auto pump_pair = [&] {
-      a.pump(1ms);
-      b.pump(1ms);
-      std::this_thread::sleep_for(250us);
+    const auto pump_pair_for = [&](std::chrono::milliseconds span) {
+      const auto end = std::chrono::steady_clock::now() + span;
+      while (std::chrono::steady_clock::now() < end) {
+        a.pump(1ms);
+        b.pump(1ms);
+      }
     };
     // Warm-up: both links up, every scratch buffer at its high-water mark.
-    for (int i = 0; i < 200; ++i) pump_pair();
+    pump_pair_for(200ms);
     ASSERT_TRUE(a.peer_connected(1));
     ASSERT_TRUE(b.peer_connected(0));
 
     const std::uint64_t heartbeats = a.stats().heartbeats_received;
     const std::uint64_t before = g_allocations;
-    for (int i = 0; i < 200; ++i) pump_pair();
+    pump_pair_for(50ms);
+    // Burst: only `a` pumps, so its heartbeats pile up unread in b's
+    // socket; b's next pump then reads and parses them all at once.
+    const std::uint64_t a_sent = a.stats().heartbeats_sent;
+    const auto burst_end = std::chrono::steady_clock::now() + 2s;
+    while (a.stats().heartbeats_sent < a_sent + 20 &&
+           std::chrono::steady_clock::now() < burst_end) {
+      a.pump(1ms);
+    }
+    const std::uint64_t burst_before = b.stats().heartbeats_received;
+    b.pump(1ms);
+    const std::uint64_t burst = b.stats().heartbeats_received - burst_before;
+    pump_pair_for(50ms);
     const std::uint64_t after = g_allocations;
     EXPECT_EQ(after, before);
-    // The measured pumps did exchange heartbeats.
+    // The measured pumps did exchange heartbeats, and b's one pump read
+    // the burst.
     EXPECT_GT(a.stats().heartbeats_received, heartbeats);
+    EXPECT_GE(burst, 20u);
   }
   ::rmdir(dir.c_str());
 }

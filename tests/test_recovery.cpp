@@ -19,9 +19,12 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -707,6 +710,9 @@ TEST(NodeExitCodes, CorruptJournalExitsJournalCorrupt) {
   // to truncate it and exit with the journal-corrupt code.
   std::vector<std::uint8_t> foreign(64, 0x77);
   write_bytes(dir.file("node-0.wal"), foreign);
+  // A stand-in at the node's socket path. Binding the listener replaces
+  // whatever is there, so it survives only if the node never listened.
+  write_bytes(dir.file("node-0.sock"), {0x01});
   const pid_t pid = spawn_node(
       bin,
       {"--node-id", "0", "--sock-dir", dir.path, "--state-dir", dir.path,
@@ -715,6 +721,52 @@ TEST(NodeExitCodes, CorruptJournalExitsJournalCorrupt) {
   ASSERT_GT(pid, 0);
   EXPECT_EQ(wait_exit(pid), net::node_exit::kJournalCorrupt)
       << slurp(dir.file("out.err"));
+  EXPECT_EQ(read_bytes(dir.file("node-0.sock")),
+            std::vector<std::uint8_t>{0x01})
+      << "the node bound its listener before refusing the journal";
+}
+
+// ------------------------------------------------------ start-up order
+
+TEST(NodeStartup, JournalIsReadyBeforeTheListenerAccepts) {
+  // xcp_node opens (and, on a fresh file, creates and fsyncs) its journal
+  // before it binds its socket, so the first connection a peer can make
+  // already finds the journal on disk with a valid header.
+  const std::string bin = node_bin_or_skip();
+  if (bin.empty()) GTEST_SKIP() << "xcp_node binary not found";
+  TempDir dir;
+  const pid_t pid = spawn_node(
+      bin,
+      {"--node-id", "0", "--sock-dir", dir.path, "--state-dir", dir.path,
+       "--wall-limit-ms", "10000"},
+      dir.file("out"));
+  ASSERT_GT(pid, 0);
+  sockaddr_un sun{};
+  sun.sun_family = AF_UNIX;
+  const std::string sock = dir.file("node-0.sock");
+  ASSERT_LT(sock.size(), sizeof sun.sun_path);
+  std::memcpy(sun.sun_path, sock.c_str(), sock.size() + 1);
+  // Connect as early as the listener allows, then read the journal at once.
+  bool connected = false;
+  std::string journal;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!connected && std::chrono::steady_clock::now() < deadline) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) break;
+    connected = ::connect(fd, reinterpret_cast<const sockaddr*>(&sun),
+                          sizeof sun) == 0;
+    if (connected) journal = slurp(dir.file("node-0.wal"));
+    ::close(fd);
+  }
+  ::kill(pid, SIGKILL);
+  (void)wait_exit(pid);
+  ASSERT_TRUE(connected) << "the node never accepted a connection";
+  const WalRecoverResult res = WriteAheadLog::scan(
+      std::vector<std::uint8_t>(journal.begin(), journal.end()));
+  EXPECT_FALSE(res.fresh) << "no journal yet when the listener accepted";
+  EXPECT_FALSE(res.truncated) << "journal header incomplete";
+  EXPECT_EQ(res.valid_bytes, net::kWalHeaderBytes);
 }
 
 }  // namespace

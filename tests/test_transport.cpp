@@ -689,6 +689,74 @@ TEST(NodeRuntime, WallClockJumpDeliversEveryMissedTickInOrder) {
   EXPECT_EQ(fired.size(), 50u);  // nothing re-fired
 }
 
+// ------------------------------------------- pacing: sleep, don't spin
+
+/// Calls pump(5ms) back to back for 30 ms of wall time; returns the count.
+int pumps_in_30ms(net::SocketTransport& t) {
+  int pumps = 0;
+  const auto end = std::chrono::steady_clock::now() + 30ms;
+  while (std::chrono::steady_clock::now() < end) {
+    t.pump(5ms);
+    ++pumps;
+  }
+  return pumps;
+}
+
+TEST(SocketTransport, SubMillisecondObligationIsSleptThroughNotSpunOn) {
+  // With a 1 ms heartbeat the next heartbeat is under a millisecond away
+  // after every pump; with a 1 ms redial backoff to a peer that never
+  // listens, so is the next dial. pump() rounds that wait up to whole
+  // milliseconds and sleeps, so 30 ms of pumping is O(30) calls. Rounding
+  // it down to poll(..., 0) instead spins thousands of times.
+  TempDir dir;
+  net::SocketTransportOptions hb = fast_opts();
+  hb.heartbeat_interval = 1ms;
+  net::SocketTransport heartbeats(0, "unix:" + dir.file("hb.sock"), hb);
+  EXPECT_LE(pumps_in_30ms(heartbeats), 100);
+
+  net::SocketTransportOptions redial = fast_opts();
+  redial.heartbeat_interval = 1s;
+  redial.reconnect_base = 1ms;
+  redial.reconnect_cap = 1ms;
+  net::SocketTransport dialer(0, "unix:" + dir.file("dialer.sock"), redial);
+  dialer.add_peer(1, "unix:" + dir.file("nobody.sock"));
+  EXPECT_LE(pumps_in_30ms(dialer), 100);
+  // Sleeping did not starve the obligation: the dials still went out.
+  EXPECT_GE(dialer.stats().dial_attempts, 5u);
+}
+
+TEST(NodeRuntime, SubMillisecondVirtualEventIsSleptThroughNotSpunOn) {
+  // A timer that re-arms itself 0.5 ms out keeps the next virtual event
+  // under a millisecond away for the whole run. The runtime must round
+  // that gap up and sleep in pump(), making O(wall ms) loop iterations,
+  // while every tick still fires as virtual time follows the wall clock.
+  TempDir dir;
+  sim::Simulator sim(1);
+  net::Network network(sim,
+                       net::DelayModel::synchronous(Duration::millis(1)));
+  net::SocketTransportOptions o = fast_opts();
+  o.heartbeat_interval = 1s;
+  net::SocketTransport transport(0, "unix:" + dir.file("rt.sock"), o);
+  net::NodeRuntime runtime(sim, network, transport);
+
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    sim.schedule_after(Duration::micros(500), tick);
+  };
+  sim.schedule_after(Duration::micros(500), tick);
+
+  int iterations = 0;  // run() asks done() once per loop iteration
+  const auto end = std::chrono::steady_clock::now() + 30ms;
+  const bool done = runtime.run(1000ms, [&] {
+    ++iterations;
+    return std::chrono::steady_clock::now() >= end;
+  });
+  ASSERT_TRUE(done);
+  EXPECT_LE(iterations, 100);
+  EXPECT_GE(ticks, 30);  // 30 ms of virtual time at one tick per 0.5 ms
+}
+
 // ----------------------------------------------- TCP endpoints
 
 /// A loopback port range unlikely to collide across concurrent test runs.

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -437,21 +439,48 @@ TEST(Wire, StreamFramingReassemblesAcrossArbitrarySplits) {
   std::size_t parsed = 0;
   for (std::uint8_t byte : stream) {
     rx.push_back(byte);
-    Bytes frame;
-    while (extract_stream_frame(rx, frame)) {
-      const Message m = parse_message(frame, ctx);
+    std::size_t off = 0;
+    std::span<const std::uint8_t> frame;
+    while (extract_stream_frame(rx, off, frame)) {
+      const Message m = parse_message(frame.data(), frame.size(), ctx);
       EXPECT_EQ(m.kind, msgs[parsed].kind);
       ++parsed;
     }
+    rx.erase(rx.begin(), rx.begin() + static_cast<std::ptrdiff_t>(off));
   }
   EXPECT_EQ(parsed, msgs.size());
   EXPECT_TRUE(rx.empty());
 }
 
+TEST(Wire, StreamFramingDrainsAWholeBufferWithoutConsumingIt) {
+  // Three frames plus the first byte of a fourth: every whole frame comes
+  // out in order as a view into the buffer, the offset stops at the partial
+  // one, and the buffer itself is left untouched for the caller to compact.
+  const Bytes payloads[] = {{1}, {2, 3}, {}};
+  Bytes stream;
+  for (const Bytes& p : payloads) {
+    append_stream_frame(stream, p.data(), p.size());
+  }
+  stream.push_back(3);  // first byte of a fourth frame's length prefix
+  const Bytes before = stream;
+  std::size_t off = 0;
+  std::span<const std::uint8_t> frame;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(extract_stream_frame(stream, off, frame));
+    EXPECT_EQ(Bytes(frame.begin(), frame.end()), payloads[i]);
+    EXPECT_GE(frame.data(), stream.data());
+    EXPECT_LE(frame.data() + frame.size(), stream.data() + off);
+  }
+  EXPECT_FALSE(extract_stream_frame(stream, off, frame));
+  EXPECT_EQ(off, stream.size() - 1);
+  EXPECT_EQ(stream, before);
+}
+
 TEST(Wire, StreamFramingRejectsOversizeAnnouncement) {
   Bytes rx = {0xff, 0xff, 0xff, 0x7f};  // announces a ~2 GiB frame
-  Bytes frame;
-  EXPECT_THROW(extract_stream_frame(rx, frame), WireError);
+  std::size_t off = 0;
+  std::span<const std::uint8_t> frame;
+  EXPECT_THROW(extract_stream_frame(rx, off, frame), WireError);
 }
 
 }  // namespace

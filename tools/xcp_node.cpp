@@ -27,6 +27,13 @@
 // injector (KIND = prevote|precommit|decide, PHASE = before|torn|after;
 // torn takes the byte count that reaches the file) for the restart harness.
 //
+// Start-up order: journal, then listener, then the first pump. The journal
+// is opened and recovered before the socket is bound, so "listening" means
+// "ready to pump": a peer that connects never waits out the journal's
+// creation, and a journal corrupt beyond recovery exits 5 without the node
+// ever listening. The process is built as a static PIE (CMakeLists.txt),
+// so a spawn pays no dynamic loading before main().
+//
 //   xcp_node --node-id K (--sock-dir DIR | --listen ADDR --peer N=ADDR...)
 //            [--notaries 4] [--n 2]
 //            [--deal 13] [--seed 7] [--value commit|abort]
@@ -248,6 +255,20 @@ int run_node(const Args& args) {
   const int client_node = m;
   const bool is_client = args.node_id == client_node;
 
+  // A notary's journal opens (and recovers) before the listener binds; see
+  // "Start-up order" above. Declared first so it outlives the notary that
+  // appends to it.
+  std::optional<net::WriteAheadLog> wal;
+  net::WalRecoverResult rec;
+  if (!is_client && !args.state_dir.empty()) {
+    net::WalOptions wopts;
+    wopts.crash_plan = args.crash_plan;
+    wal.emplace(args.state_dir + "/node-" + std::to_string(args.node_id) +
+                    ".wal",
+                std::move(wopts));
+    rec = wal->open();
+  }
+
   // Identical scenario in every process: keys, config, evidence.
   crypto::KeyRegistry keys = sc.make_keys();
   auto config = sc.make_config(keys);
@@ -352,17 +373,10 @@ int run_node(const Args& args) {
       return true;
     };
 
-    // Journal wiring: open (recovering any previous life's records) before
-    // the simulator starts, so on_start sees the restored state.
-    std::optional<net::WriteAheadLog> wal;
+    // Journal wiring: restore the recovered records before the simulator
+    // starts, so on_start sees them.
     bool recovered = false;
-    if (!args.state_dir.empty()) {
-      net::WalOptions wopts;
-      wopts.crash_plan = args.crash_plan;
-      wal.emplace(args.state_dir + "/node-" + std::to_string(args.node_id) +
-                      ".wal",
-                  std::move(wopts));
-      const net::WalRecoverResult rec = wal->open();
+    if (wal) {
       notary.set_wal(&*wal);
       if (!rec.records.empty()) notary.restore(rec.records);
       std::uint32_t tier = 0;
