@@ -18,15 +18,11 @@
 #include <fstream>
 #include <limits>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <unistd.h>
 #include <string>
 
 #include "exp/dispatch.hpp"
-#include "exp/host_pool.hpp"
-#include "exp/remote.hpp"
 #include "exp/runner.hpp"
 #include "exp/shard.hpp"
 #include "support/table.hpp"
@@ -76,18 +72,10 @@ int main(int argc, char** argv) {
   // ./xcp_sweep_shard, then in-process shards (wire round-trip, no exec).
   // --fault SPEC (repeatable) and --fault-delay-ms MS forward the worker's
   // fault-injection flags through the dispatcher, so the supervision
-  // overhead (retries, deadline kills, hedges) can be measured under a
-  // chosen fault schedule. Report-only: the dispatch report is printed
-  // after the scaling table and never gates the bench — byte-identity of
-  // the recovered results is still enforced.
-  // --hosts A,B,... runs the scaling sweep through the elastic remote
-  // launcher over those execution hosts (--remote ssh for real hosts,
-  // --remote sh to exec through /bin/sh on this machine — the CI
-  // smoke-test shape); hosts are probed first, the measured startup cost
-  // feeds the min-seeds-per-shard heuristic, and the dispatch report
-  // gains per-host rollups. --hosts-file FILE reads the same inventory
-  // from a file instead — one host[:slots] per line, # comments — the
-  // shape a cluster scheduler hands out; it composes with --hosts.
+  // overhead (retries, deadline kills) can be measured under a chosen
+  // fault schedule. Report-only: the dispatch report is printed after the
+  // scaling table and never gates the bench — byte-identity of the
+  // recovered results is still enforced.
   bool buffered = false;
   bool full_horizon = false;
   bool differential = false;
@@ -95,8 +83,6 @@ int main(int argc, char** argv) {
   std::vector<unsigned> shard_counts;
   std::string worker_path;
   std::vector<std::string> fault_args;
-  std::vector<exp::HostSpec> hosts;
-  std::string remote_kind = "sh";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--buffered") == 0) buffered = true;
     if (std::strcmp(argv[i], "--full-horizon") == 0) full_horizon = true;
@@ -127,29 +113,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--fault-delay-ms") == 0 && i + 1 < argc) {
       fault_args.insert(fault_args.end(), {"--fault-delay-ms", argv[++i]});
-    }
-    if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      std::istringstream list(argv[++i]);
-      std::string tok;
-      while (std::getline(list, tok, ',')) {
-        if (!tok.empty()) hosts.push_back({tok, 0});
-      }
-    }
-    if (std::strcmp(argv[i], "--hosts-file") == 0 && i + 1 < argc) {
-      try {
-        auto specs = exp::parse_hosts_file(argv[++i]);
-        hosts.insert(hosts.end(), specs.begin(), specs.end());
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--remote") == 0 && i + 1 < argc) {
-      remote_kind = argv[++i];
-      if (remote_kind != "sh" && remote_kind != "ssh") {
-        std::cerr << "--remote must be sh or ssh\n";
-        return 2;
-      }
     }
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       std::istringstream list(argv[++i]);
@@ -187,11 +150,6 @@ int main(int argc, char** argv) {
       (shard_counts.empty() || worker_path.empty())) {
     std::cerr << "--fault requires --shards and a worker binary "
                  "(in-process shards cannot inject process faults)\n";
-    return 2;
-  }
-  if (!hosts.empty() && (shard_counts.empty() || worker_path.empty())) {
-    std::cerr << "--hosts requires --shards and a worker binary "
-                 "(remote execution needs a deployable worker)\n";
     return 2;
   }
   constexpr int kN = 2;
@@ -320,37 +278,6 @@ int main(int argc, char** argv) {
     dopts.cell = copts;
     dopts.dispatch.extra_worker_args = fault_args;
 
-    std::optional<exp::HostPool> pool;
-    std::unique_ptr<exp::RemoteLauncher> remote;
-    if (!hosts.empty()) {
-      pool.emplace();
-      for (const exp::HostSpec& h : hosts) pool->add_host(h.host, h.slots);
-      remote = std::make_unique<exp::RemoteLauncher>(
-          *pool, remote_kind == "ssh" ? exp::RemoteOptions::ssh_template()
-                                      : exp::RemoteOptions::sh_template());
-      remote->probe_hosts();
-      // The reference pass just measured the sweep's seed throughput;
-      // amortize the slowest probed startup against it so no shard is
-      // dominated by transport setup.
-      const double seeds_per_second =
-          single_ms > 0.0
-              ? static_cast<double>(protocols.size() * regimes.size() *
-                                    kSeeds) /
-                    (single_ms / 1000.0)
-              : 0.0;
-      dopts.min_seeds_per_shard =
-          remote->recommended_min_seeds(seeds_per_second);
-      dopts.dispatch.launcher = remote.get();
-      std::cout << "remote hosts (" << remote_kind << " transport):";
-      for (const auto& st : pool->stats()) {
-        std::cout << " " << st.host << "=" << exp::host_state_name(st.state);
-        if (st.startup_cost.count() >= 0) {
-          std::cout << "/" << st.startup_cost.count() << "ms";
-        }
-      }
-      std::cout << "; min seeds/shard " << dopts.min_seeds_per_shard << "\n";
-    }
-
     exp::DispatchReport dispatch_report;
     dopts.report = &dispatch_report;
     Table scaling({"shards", "wall-clock", "vs single-process", "verified"});
@@ -393,7 +320,7 @@ int main(int argc, char** argv) {
                   "distributed_sweep wall-clock by shard count (every K "
                   "verified byte-identical to the single-process cells)");
     // Supervision telemetry across every K above. Report-only by design:
-    // retries/timeouts/hedges vary with machine load (and with any
+    // retries and timeouts vary with machine load (and with any
     // injected --fault schedule), so this never gates — the byte-identity
     // check above is the gate.
     std::cout << "\n" << dispatch_report.to_string() << "\n";

@@ -1,9 +1,9 @@
 #include "exp/dispatch.hpp"
 
 // xcp-lint: allow-file(determinism-wall-clock) supervision layer:
-// deadlines, retry backoff and straggler hedging time real child
-// processes; results stay deterministic because cell payloads never
-// depend on these timestamps (test_dispatch byte-identity covers it).
+// deadlines and retry backoff time real child processes; results stay
+// deterministic because cell payloads never depend on these timestamps
+// (test_dispatch byte-identity covers it).
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -37,7 +37,6 @@ const char* attempt_outcome_name(AttemptRecord::Outcome o) {
     case AttemptRecord::Outcome::kWireReject: return "wire-reject";
     case AttemptRecord::Outcome::kMetaMismatch: return "meta-mismatch";
     case AttemptRecord::Outcome::kLaunchFailed: return "launch-failed";
-    case AttemptRecord::Outcome::kSuperseded: return "superseded";
     case AttemptRecord::Outcome::kFallback: return "in-process-fallback";
   }
   return "?";
@@ -78,8 +77,6 @@ void merge_counters(DispatchReport& into, const DispatchReport& from) {
   into.meta_mismatches += from.meta_mismatches;
   into.nonzero_exits += from.nonzero_exits;
   into.launch_failures += from.launch_failures;
-  into.hedges += from.hedges;
-  into.superseded += from.superseded;
   into.fallbacks += from.fallbacks;
 }
 
@@ -96,26 +93,11 @@ std::string DispatchReport::to_string() const {
        std::to_string(meta_mismatches) + " meta mismatch(es), " +
        std::to_string(nonzero_exits) + " nonzero exit(s), " +
        std::to_string(launch_failures) + " launch failure(s), " +
-       std::to_string(hedges) + " hedge(s), " +
-       std::to_string(superseded) + " superseded, " +
        std::to_string(fallbacks) + " fallback(s)";
-  // Per-host rollups render only when a pooled launcher filled them in, so
-  // plain local dispatch keeps its golden format byte-for-byte.
-  for (const HostRecord& h : hosts) {
-    s += "\n  host " + h.host + ": " + std::to_string(h.attempts) +
-         " attempt(s), " + std::to_string(h.failures) + " failure(s), " +
-         std::to_string(h.quarantines) + " quarantine(s)";
-    if (h.blacklisted) s += ", blacklisted";
-    if (h.startup_cost.count() >= 0) {
-      s += ", startup " + std::to_string(h.startup_cost.count()) + " ms";
-    }
-  }
   for (const AttemptRecord& a : attempts) {
     if (a.outcome == AttemptRecord::Outcome::kSuccess) continue;
     s += "\n  shard " + std::to_string(a.shard) + " attempt " +
-         std::to_string(a.attempt) + (a.hedge ? " (hedge)" : "") +
-         (a.host.empty() ? "" : " @" + a.host) + ": " +
-         attempt_outcome_name(a.outcome);
+         std::to_string(a.attempt) + ": " + attempt_outcome_name(a.outcome);
     if (a.outcome == AttemptRecord::Outcome::kExitNonzero) {
       s += ", " + describe_exit_code(a.exit_code);
     }
@@ -228,10 +210,6 @@ void LocalProcessLauncher::terminate(const WorkerHandle& w) {
   if (w.pid > 0) ::kill(static_cast<pid_t>(w.pid), SIGKILL);
 }
 
-void LocalProcessLauncher::terminate_soft(const WorkerHandle& w) {
-  if (w.pid > 0) ::kill(static_cast<pid_t>(w.pid), SIGTERM);
-}
-
 bool LocalProcessLauncher::try_reap(const WorkerHandle& w, int& raw_status) {
   if (w.pid <= 0) return false;
   pid_t got;
@@ -260,23 +238,16 @@ using Outcome = AttemptRecord::Outcome;
 
 /// One in-flight worker attempt.
 struct Live {
-  /// Why this attempt is being torn down (SIGTERM -> grace -> SIGKILL runs
-  /// asynchronously; the reason is fixed when the escalation starts).
-  enum class TermReason { kNone, kTimeout, kSuperseded };
-
   unsigned shard = 0;
   int attempt_no = 0;
-  bool hedge = false;
   WorkerHandle w;
   std::vector<std::uint8_t> out;
   std::string err;            // capped capture
   std::size_t err_total = 0;  // uncapped byte count (for the cap marker)
   bool out_open = true;
   bool err_open = true;
-  bool finished = false;  // marked for sweep-out at the end of a loop pass
-  TermReason term = TermReason::kNone;
-  bool hard_killed = false;     // SIGKILL already sent
-  Clock::time_point kill_at;    // when the grace window ends
+  bool finished = false;   // marked for sweep-out at the end of a loop pass
+  bool timed_out = false;  // killed at its deadline, awaiting the reap
   Clock::time_point start;
   Clock::time_point deadline;
 };
@@ -284,8 +255,7 @@ struct Live {
 struct ShardState {
   ShardMeta meta;
   ShardRange range;
-  int attempts = 0;  // launched so far (primary + retries + hedges)
-  int hedges = 0;
+  int attempts = 0;  // launched so far (first launch + retries)
   bool done = false;
   bool retry_pending = false;
   Clock::time_point retry_ready;
@@ -294,12 +264,6 @@ struct ShardState {
 
 Millis elapsed_ms(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration_cast<Millis>(to - from);
-}
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 /// The supervision event loop for one cell. A plain struct so the state
@@ -316,8 +280,6 @@ struct CellRun {
 
   std::vector<ShardState> shards = {};
   std::vector<Live> live = {};
-  std::vector<double> completion_ms = {};  // successful attempt wall times
-  std::size_t done_count = 0;
   DispatchReport report = {};
 
   ~CellRun() {
@@ -328,9 +290,6 @@ struct CellRun {
       launcher.reap(l.w);
       close_quietly(l.w.stdout_fd);
       close_quietly(l.w.stderr_fd);
-      // Neutral classification so a pooled launcher releases its host slot
-      // without charging the host for the driver's own failure.
-      launcher.attempt_result(l.w, AttemptOutcome::kSuperseded, -1);
     }
   }
 
@@ -381,13 +340,6 @@ struct CellRun {
     return Millis(static_cast<std::int64_t>(ms < 0 ? 0 : ms));
   }
 
-  bool shard_has_live_attempt(unsigned shard) const {
-    for (const Live& l : live) {
-      if (!l.finished && l.shard == shard) return true;
-    }
-    return false;
-  }
-
   void record(AttemptRecord rec) {
     switch (rec.outcome) {
       case Outcome::kTimeout: ++report.timeouts; break;
@@ -396,14 +348,13 @@ struct CellRun {
       case Outcome::kWireReject: ++report.wire_rejects; break;
       case Outcome::kMetaMismatch: ++report.meta_mismatches; break;
       case Outcome::kLaunchFailed: ++report.launch_failures; break;
-      case Outcome::kSuperseded: ++report.superseded; break;
       case Outcome::kFallback: ++report.fallbacks; break;
       case Outcome::kSuccess: break;
     }
     report.attempts.push_back(std::move(rec));
   }
 
-  void launch_attempt(unsigned shard, bool hedge) {
+  void launch_attempt(unsigned shard) {
     ShardState& st = shards[shard];
     const int attempt_no = ++st.attempts;
     ++report.launches;
@@ -415,7 +366,6 @@ struct CellRun {
       AttemptRecord rec;
       rec.shard = shard;
       rec.attempt = attempt_no;
-      rec.hedge = hedge;
       rec.outcome = Outcome::kLaunchFailed;
       rec.detail = e.what();
       rec.wall = Millis(0);
@@ -426,56 +376,26 @@ struct CellRun {
     Live l;
     l.shard = shard;
     l.attempt_no = attempt_no;
-    l.hedge = hedge;
     l.w = w;
     l.start = now;
     l.deadline = now + opts.shard_deadline;
     live.push_back(std::move(l));
   }
 
-  /// A failed attempt: schedule a retry if the budget allows and nothing
-  /// else is flying for this shard. Exhaustion is implicit — a shard with
-  /// no live attempt, no pending retry and no budget left is picked up by
-  /// the fallback phase.
+  /// A failed attempt: schedule a retry if the budget allows. Exhaustion is
+  /// implicit — a shard with no live attempt, no pending retry and no
+  /// budget left is picked up by the fallback phase.
   void after_failure(unsigned shard) {
     ShardState& st = shards[shard];
-    if (st.done || st.retry_pending || shard_has_live_attempt(shard)) return;
     if (st.attempts >= opts.max_attempts) return;  // exhausted
     st.retry_pending = true;
     st.retry_ready = Clock::now() + backoff_before(shard, st.attempts + 1);
     ++report.retries;
   }
 
-  /// Starts the SIGTERM -> grace -> SIGKILL escalation for one attempt.
-  /// The attempt stays live (drained and eventually reaped by the normal
-  /// loop machinery) until its worker actually exits — the loop never
-  /// blocks waiting for a signal to land.
-  void start_termination(Live& l, Live::TermReason reason) {
-    if (l.term != Live::TermReason::kNone) return;
-    l.term = reason;
-    if (opts.term_grace.count() <= 0) {
-      launcher.terminate(l.w);
-      l.hard_killed = true;
-    } else {
-      launcher.terminate_soft(l.w);
-      l.kill_at = Clock::now() + opts.term_grace;
-    }
-  }
-
-  /// First valid blob wins: the shard is done, everything else still
-  /// flying for it is torn down (deterministic shards make the duplicates
-  /// byte-identical, so which attempt wins is unobservable in the result).
-  void supersede_others(unsigned shard, const Live* winner) {
-    for (Live& l : live) {
-      if (l.finished || l.shard != shard || &l == winner) continue;
-      start_termination(l, Live::TermReason::kSuperseded);
-    }
-    shards[shard].retry_pending = false;
-  }
-
   /// The attempt's worker has exited (status in raw_status). Classifies
-  /// the outcome — honoring any termination the supervisor started — and
-  /// advances the shard's state machine.
+  /// the outcome — honoring a deadline kill — and advances the shard's
+  /// state machine.
   void complete_attempt(Live& l, int raw_status) {
     l.finished = true;
     close_quietly(l.w.stdout_fd);
@@ -485,25 +405,16 @@ struct CellRun {
     AttemptRecord rec;
     rec.shard = l.shard;
     rec.attempt = l.attempt_no;
-    rec.hedge = l.hedge;
-    rec.host = l.w.host;
     rec.stderr_excerpt = std::move(l.err);
     rec.wall = elapsed_ms(l.start, Clock::now());
 
-    if (l.term == Live::TermReason::kTimeout) {
+    if (l.timed_out) {
       rec.outcome = Outcome::kTimeout;
-      rec.term_signal = WIFSIGNALED(raw_status) ? WTERMSIG(raw_status)
-                        : l.hard_killed         ? SIGKILL
-                                                : SIGTERM;
+      rec.term_signal =
+          WIFSIGNALED(raw_status) ? WTERMSIG(raw_status) : SIGKILL;
       rec.detail = "deadline of " +
                    std::to_string(opts.shard_deadline.count()) +
                    " ms exceeded";
-    } else if (l.term == Live::TermReason::kSuperseded) {
-      // Whether the loser died to the signal or slipped a clean exit in
-      // first is unobservable in the result (dedup by shard id); either
-      // way it records as superseded.
-      rec.outcome = Outcome::kSuperseded;
-      rec.term_signal = WIFSIGNALED(raw_status) ? WTERMSIG(raw_status) : 0;
     } else if (WIFSIGNALED(raw_status)) {
       rec.outcome = Outcome::kCrashed;
       rec.term_signal = WTERMSIG(raw_status);
@@ -518,17 +429,14 @@ struct CellRun {
         if (!(parsed.meta == st.meta)) {
           rec.outcome = Outcome::kMetaMismatch;
           rec.detail = "blob meta does not match the assigned work";
-        } else if (st.done) {
-          // A duplicate valid blob (hedge raced its primary to the finish
-          // line); dedup by shard id — the first one already merged.
-          rec.outcome = Outcome::kSuperseded;
         } else {
           rec.outcome = Outcome::kSuccess;
-          st.done = true;
-          st.accum = std::move(parsed.accum);
-          ++done_count;
-          completion_ms.push_back(
-              static_cast<double>(rec.wall.count()));
+          // Each shard's result merges exactly once, whatever its attempt
+          // history.
+          if (!st.done) {
+            st.done = true;
+            st.accum = std::move(parsed.accum);
+          }
         }
       } catch (const WireError& e) {
         rec.outcome = Outcome::kWireReject;
@@ -536,17 +444,9 @@ struct CellRun {
       }
     }
 
-    // Feed the launcher's host health tracking with the final
-    // classification — exactly once per reaped handle.
-    launcher.attempt_result(l.w, rec.outcome, rec.exit_code);
-
     const bool succeeded = rec.outcome == Outcome::kSuccess;
     record(std::move(rec));
-    if (succeeded) {
-      supersede_others(l.shard, &l);
-    } else if (!st.done && l.term != Live::TermReason::kSuperseded) {
-      after_failure(l.shard);
-    }
+    if (!succeeded && !st.done) after_failure(l.shard);
   }
 
   /// Drains one fd; returns false once the stream hit EOF (or error).
@@ -593,12 +493,12 @@ struct CellRun {
   void run() {
     report.shards += shards.size();
     for (unsigned i = 0; i < shards.size(); ++i) {
-      launch_attempt(i, /*hedge=*/false);
+      launch_attempt(i);
     }
 
     // Runs until every shard is resolved AND every live attempt has been
-    // reaped — termination is asynchronous (SIGTERM -> grace -> SIGKILL),
-    // so finished shards can still have losers winding down.
+    // reaped — a deadline kill is asynchronous, so a killed worker stays
+    // live until its exit is reaped.
     for (;;) {
       Clock::time_point now = Clock::now();
 
@@ -607,57 +507,22 @@ struct CellRun {
         ShardState& st = shards[i];
         if (st.retry_pending && !st.done && now >= st.retry_ready) {
           st.retry_pending = false;
-          launch_attempt(i, /*hedge=*/false);
+          launch_attempt(i);
         }
       }
 
-      // Straggler hedging: once at least half the shards are in, attempts
-      // running past a multiple of the median completion time get a
-      // duplicate launch.
-      if (opts.hedge_stragglers && !completion_ms.empty() &&
-          done_count >= (shards.size() + 1) / 2) {
-        const double median = median_of(completion_ms);
-        const double threshold = std::max(
-            static_cast<double>(opts.straggler_floor.count()),
-            opts.straggler_multiple * median);
-        std::vector<unsigned> to_hedge;
-        for (const Live& l : live) {
-          if (l.finished || l.term != Live::TermReason::kNone) continue;
-          ShardState& st = shards[l.shard];
-          if (st.done || st.retry_pending) continue;
-          if (st.hedges >= opts.max_hedges_per_shard) continue;
-          if (st.attempts >= opts.max_attempts) continue;
-          const double run_ms =
-              static_cast<double>(elapsed_ms(l.start, now).count());
-          if (run_ms > threshold) to_hedge.push_back(l.shard);
-        }
-        for (const unsigned shard : to_hedge) {
-          ShardState& st = shards[shard];
-          if (st.hedges >= opts.max_hedges_per_shard) continue;  // dupes
-          ++st.hedges;
-          ++report.hedges;
-          launch_attempt(shard, /*hedge=*/true);
-        }
-      }
-
-      // Termination escalation. First pass: attempts past their deadline
-      // start the SIGTERM -> grace -> SIGKILL ladder. Second pass:
-      // terminating attempts whose grace window expired get the hard kill.
+      // Deadline kills: one SIGKILL, then the normal loop drains and reaps
+      // the worker.
       now = Clock::now();
       for (Live& l : live) {
-        if (l.finished) continue;
-        if (l.term == Live::TermReason::kNone && now >= l.deadline) {
-          start_termination(l, Live::TermReason::kTimeout);
-        }
-        if (l.term != Live::TermReason::kNone && !l.hard_killed &&
-            now >= l.kill_at) {
+        if (!l.finished && !l.timed_out && now >= l.deadline) {
           launcher.terminate(l.w);
-          l.hard_killed = true;
+          l.timed_out = true;
         }
       }
 
-      // Anything left to wait for? (Retry scheduling and hedging above can
-      // finish shards only via launch failures; re-check before polling.)
+      // Anything left to wait for? (Retry scheduling above can finish shards
+      // only via launch failures; re-check before polling.)
       bool any_pending_retry = false;
       Millis wait = Millis(3'600'000);
       now = Clock::now();
@@ -675,14 +540,9 @@ struct CellRun {
         Live& l = live[i];
         if (l.finished) continue;
         any_live = true;
-        if (l.term == Live::TermReason::kNone) {
+        if (!l.timed_out) {
           wait = std::min(wait, std::max(Millis(0),
                                          elapsed_ms(now, l.deadline)));
-        } else if (!l.hard_killed) {
-          // Terminating: wake for the grace expiry, not the (already
-          // passed) deadline — the latter would spin the loop hot.
-          wait = std::min(wait, std::max(Millis(0),
-                                         elapsed_ms(now, l.kill_at)));
         }
         if (l.out_open) {
           fds.push_back(pollfd{l.w.stdout_fd, POLLIN, 0});
@@ -703,11 +563,6 @@ struct CellRun {
         }
       }
       if (!any_live && !any_pending_retry) break;  // exhausted -> fallback
-      if (opts.hedge_stragglers && any_live) {
-        // Wake periodically so straggler detection does not wait for the
-        // next fd event or deadline.
-        wait = std::min(wait, Millis(20));
-      }
 
       const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
                             static_cast<nfds_t>(fds.size()),
@@ -735,9 +590,8 @@ struct CellRun {
 
       // Attempts whose streams both hit EOF: reap without blocking — a
       // worker that closed its stdio but keeps running stays subject to
-      // its deadline, never to an indefinite waitpid. Terminating attempts
-      // take the same path once their worker actually dies (SIGTERM, or
-      // the SIGKILL the escalation pass sent).
+      // its deadline, never to an indefinite waitpid. Killed attempts take
+      // the same path once their worker actually dies.
       for (Live& l : live) {
         if (l.finished || l.out_open || l.err_open) continue;
         int raw_status = 0;
@@ -778,7 +632,6 @@ struct CellRun {
                   "in-process fallback blob failed its own meta check");
       st.accum = std::move(parsed.accum);
       st.done = true;
-      ++done_count;
       AttemptRecord rec;
       rec.shard = i;
       rec.attempt = ++st.attempts;
@@ -855,7 +708,6 @@ CellAccum Dispatcher::run_cell(ProtocolKind protocol, Regime regime, int n,
                               run.report.attempts.begin(),
                               run.report.attempts.end());
       merge_counters(*report, run.report);
-      opts_.launcher->append_host_report(*report);
     }
     throw;
   }
@@ -865,9 +717,6 @@ CellAccum Dispatcher::run_cell(ProtocolKind protocol, Regime regime, int n,
                             run.report.attempts.begin(),
                             run.report.attempts.end());
     merge_counters(*report, run.report);
-    // Pooled launchers refresh the per-host rollups (upsert by host name,
-    // cumulative across cells); the default launcher leaves hosts empty.
-    opts_.launcher->append_host_report(*report);
   }
   return total;
 #endif
@@ -880,7 +729,7 @@ MatrixCell distributed_sweep(ProtocolKind protocol, Regime regime, int n,
                              std::uint64_t first_seed,
                              const DistributedOptions& opts) {
   const std::vector<ShardRange> ranges =
-      plan_shards(first_seed, seeds, shards, opts.min_seeds_per_shard);
+      plan_shards(first_seed, seeds, shards);
 
   if (opts.worker_path.empty()) {
     // In-process shards: same partition, same wire round-trip, no process

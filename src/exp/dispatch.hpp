@@ -13,12 +13,6 @@
 //   retry      failed attempts (crash, nonzero exit, rejected blob, meta
 //              mismatch, timeout) are re-issued up to max_attempts with
 //              deterministic exponential backoff + jitter;
-//   hedging    once enough shards have completed to estimate a median
-//              completion time, attempts running longer than a configurable
-//              multiple of it get a hedged duplicate launch — first valid
-//              blob wins, the loser is killed and recorded as superseded
-//              (safe: shards are deterministic and results are deduped by
-//              shard id before merging);
 //   fallback   a shard that exhausts its attempts is run in-process by the
 //              driver itself (still through the wire round-trip), so a bad
 //              worker deploy degrades to PR 4's single-process sweep instead
@@ -29,11 +23,11 @@
 // counters. Per-attempt stderr capture replaces PR 5's interleaving of
 // worker stderr onto the parent's.
 //
-// The WorkerLauncher seam is the cross-machine hook: the dispatcher talks
-// to workers only through launch/terminate/reap and a pair of poll()-able
-// fds, so an ssh or job-queue launcher slots in without touching the
-// supervision logic. See docs/ROBUSTNESS.md for the full policy and the
-// determinism argument.
+// The WorkerLauncher seam is the test-substitution hook: the dispatcher
+// talks to workers only through launch/terminate/reap and a pair of
+// poll()-able fds, so tests substitute their own launchers without
+// touching the supervision logic. See docs/ROBUSTNESS.md for the full
+// policy and the determinism argument.
 
 #include <chrono>
 #include <cstdint>
@@ -66,35 +60,13 @@ inline constexpr int kShortWrite = 4;  // stdout write came up short
 inline constexpr int kInternal = 5;    // any other exception
 }  // namespace worker_exit
 
-/// How one attempt of one shard ended, as the dispatcher classified it.
-/// Namespace-scope (with an alias inside AttemptRecord) so the launcher
-/// seam can receive it without depending on the record type.
-enum class AttemptOutcome {
-  kSuccess,        // valid blob, meta verified
-  kTimeout,        // deadline exceeded, worker killed
-  kCrashed,        // exited on a signal
-  kExitNonzero,    // clean exit with nonzero code
-  kWireReject,     // exit 0 but blob rejected (WireError / oversize)
-  kMetaMismatch,   // blob parsed but describes different work
-  kLaunchFailed,   // launcher could not start the worker
-  kSuperseded,     // killed because another attempt finished first
-  kFallback,       // ran in-process after retry exhaustion
-};
-
-struct DispatchReport;
-
 /// A launched worker as the dispatcher sees it: an opaque id it can kill
 /// and reap, plus poll()-able stream fds. For the local process launcher
-/// these are a pid and pipe read ends; a remote launcher hands back the fds
-/// of its transport process (ssh et al.) and names the host it chose —
-/// the dispatcher carries `host` into the attempt record verbatim.
+/// these are a pid and pipe read ends.
 struct WorkerHandle {
   long pid = -1;
   int stdout_fd = -1;
   int stderr_fd = -1;
-  /// Which execution host the launcher placed this attempt on; empty for
-  /// plain local launches.
-  std::string host;
 };
 
 /// The launch/terminate/reap seam between dispatch policy and transport.
@@ -113,39 +85,12 @@ class WorkerLauncher {
   /// leave the handle reapable.
   virtual void terminate(const WorkerHandle& w) = 0;
 
-  /// Polite termination request (SIGTERM for local processes) — the first
-  /// rung of the dispatcher's SIGTERM -> grace -> SIGKILL escalation, so a
-  /// remote wrapper (ssh, job-queue shim) gets a chance to clean up its far
-  /// end. Must be idempotent and must not make the handle unreapable.
-  /// Default: hard-kill, for launchers with no softer signal.
-  virtual void terminate_soft(const WorkerHandle& w) { terminate(w); }
-
   /// Non-blocking reap: true (and the raw waitpid-style status) once the
   /// worker has exited, false while it is still running.
   virtual bool try_reap(const WorkerHandle& w, int& raw_status) = 0;
 
   /// Blocking reap, used only after terminate().
   virtual int reap(const WorkerHandle& w) = 0;
-
-  /// The dispatcher's classification of a finished attempt, delivered once
-  /// per reaped handle (launch failures never reach it — the launcher saw
-  /// those first-hand). Pooled launchers feed host health tracking from
-  /// this; the default launcher ignores it. exit_code is the worker's exit
-  /// status for kSuccess/kExitNonzero/kWireReject and -1 otherwise — remote
-  /// launchers use it to tell a transport failure (ssh's 255) from a worker
-  /// bug that would reproduce on any host.
-  virtual void attempt_result(const WorkerHandle& w, AttemptOutcome o,
-                              int exit_code) {
-    (void)w;
-    (void)o;
-    (void)exit_code;
-  }
-
-  /// Appends per-host rollups (attempts/failures/quarantines per host) to
-  /// the report. No-op for launchers without a host pool.
-  virtual void append_host_report(DispatchReport& report) const {
-    (void)report;
-  }
 };
 
 /// Default launcher: posix_spawn with stdout/stderr piped back on
@@ -155,7 +100,6 @@ class LocalProcessLauncher : public WorkerLauncher {
  public:
   WorkerHandle launch(const std::vector<std::string>& argv) override;
   void terminate(const WorkerHandle& w) override;
-  void terminate_soft(const WorkerHandle& w) override;
   bool try_reap(const WorkerHandle& w, int& raw_status) override;
   int reap(const WorkerHandle& w) override;
 };
@@ -166,12 +110,7 @@ struct DispatchOptions {
   /// Wall-clock budget per attempt; past it the worker is terminated and
   /// the attempt counts as a timeout.
   std::chrono::milliseconds shard_deadline{30'000};
-  /// Termination escalation: a worker being killed (deadline, supersede)
-  /// first gets terminate_soft (SIGTERM locally) and this much wall-clock
-  /// to exit on its own — remote wrappers use it to tear down their far
-  /// end — then terminate (SIGKILL). 0 skips straight to the hard kill.
-  std::chrono::milliseconds term_grace{500};
-  /// Total attempts per shard (first launch + retries + hedges).
+  /// Total attempts per shard (first launch + retries).
   int max_attempts = 3;
   /// Backoff before retry k (k = 2, 3, ...): min(cap, base * mult^(k-2)),
   /// scaled by a deterministic jitter factor in [1 - jitter, 1 + jitter]
@@ -182,13 +121,6 @@ struct DispatchOptions {
   std::chrono::milliseconds backoff_cap{2'000};
   double backoff_jitter = 0.25;
   std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
-  /// Straggler hedging: once at least half the shards have completed, an
-  /// attempt running longer than max(floor, multiple * median completion
-  /// time) gets a duplicate launch; first valid blob wins.
-  bool hedge_stragglers = true;
-  double straggler_multiple = 3.0;
-  std::chrono::milliseconds straggler_floor{100};
-  int max_hedges_per_shard = 1;
   /// After retry exhaustion, run the shard in-process (wire round-trip
   /// included) instead of failing the sweep. Disable to make exhaustion a
   /// DispatchError instead.
@@ -209,15 +141,23 @@ struct DispatchOptions {
 
 /// Everything that happened to one attempt of one shard.
 struct AttemptRecord {
-  using Outcome = AttemptOutcome;
+  /// How the attempt ended, as the dispatcher classified it.
+  enum class Outcome {
+    kSuccess,        // valid blob, meta verified
+    kTimeout,        // deadline exceeded, worker killed
+    kCrashed,        // exited on a signal
+    kExitNonzero,    // clean exit with nonzero code
+    kWireReject,     // exit 0 but blob rejected (WireError / oversize)
+    kMetaMismatch,   // blob parsed but describes different work
+    kLaunchFailed,   // launcher could not start the worker
+    kFallback,       // ran in-process after retry exhaustion
+  };
 
   unsigned shard = 0;
-  int attempt = 0;     // 1-based, hedges included
-  bool hedge = false;  // launched by the straggler policy
+  int attempt = 0;  // 1-based
   Outcome outcome = Outcome::kSuccess;
-  int exit_code = -1;    // valid for kExitNonzero / kSuccess / kWireReject
-  int term_signal = 0;   // valid for kCrashed / kTimeout / kSuperseded
-  std::string host;      // launcher-reported execution host, may be empty
+  int exit_code = -1;   // valid for kExitNonzero / kSuccess / kWireReject
+  int term_signal = 0;  // valid for kCrashed / kTimeout
   std::string stderr_excerpt;  // captured per attempt, capped, may be empty
   std::string detail;          // parse/meta/launch error text
   std::chrono::milliseconds wall{0};
@@ -229,21 +169,7 @@ const char* attempt_outcome_name(AttemptRecord::Outcome o);
 /// acceptance tests and the bench report read. Appended to across cells
 /// when one report is threaded through several distributed_sweep calls.
 struct DispatchReport {
-  /// Per-host rollup, appended by pooled launchers (append_host_report).
-  /// Empty for plain local dispatch, and to_string() renders nothing for
-  /// it then — the local golden format is unchanged.
-  struct HostRecord {
-    std::string host;
-    std::size_t attempts = 0;
-    std::size_t failures = 0;
-    std::size_t quarantines = 0;
-    bool blacklisted = false;
-    /// Measured startup-probe cost; -1 ms when never probed.
-    std::chrono::milliseconds startup_cost{-1};
-  };
-
   std::vector<AttemptRecord> attempts;
-  std::vector<HostRecord> hosts;
   std::size_t shards = 0;
   std::size_t launches = 0;
   std::size_t retries = 0;    // re-issues after a failed attempt
@@ -253,15 +179,12 @@ struct DispatchReport {
   std::size_t meta_mismatches = 0;
   std::size_t nonzero_exits = 0;
   std::size_t launch_failures = 0;
-  std::size_t hedges = 0;     // straggler duplicate launches
-  std::size_t superseded = 0; // attempts killed by first-valid-blob-wins
   std::size_t fallbacks = 0;  // shards that degraded to in-process
 
-  /// True when every shard succeeded on its first attempt with no hedges —
-  /// the report of a healthy sweep.
+  /// True when every shard succeeded on its first attempt — the report of
+  /// a healthy sweep.
   bool clean() const {
-    return retries == 0 && hedges == 0 && fallbacks == 0 &&
-           launch_failures == 0;
+    return retries == 0 && fallbacks == 0 && launch_failures == 0;
   }
 
   /// Multi-line human-readable rendering (summary counters + one line per
@@ -313,11 +236,6 @@ struct DistributedOptions {
   CellOptions cell;
   /// Supervision policy for the process transport.
   DispatchOptions dispatch;
-  /// Anti-sliver floor forwarded to plan_shards: with a non-zero value the
-  /// sweep concentrates seeds on fewer shards rather than paying process
-  /// supervision overhead on slivers (trailing shards come back empty and
-  /// merge as no-ops). 0 preserves the spread-over-all-shards partition.
-  std::size_t min_seeds_per_shard = 0;
   /// When non-null, attempt records and counters for the sweep are
   /// appended here (including synthetic kSuccess records for in-process
   /// shards, so the report always covers every shard).
@@ -326,9 +244,9 @@ struct DistributedOptions {
 
 /// Runs one matrix cell as `shards` supervised shard processes: partitions
 /// the seed range with plan_shards, dispatches tools/xcp_sweep_shard per
-/// shard through exp::Dispatcher (deadlines, retries with backoff, straggler
-/// hedging, in-process fallback), folds the deduped per-shard accumulators
-/// with CellAccum::merge, and finishes with cell_from_accum. Under any fault
+/// shard through exp::Dispatcher (deadlines, retries with backoff,
+/// in-process fallback), folds the per-shard accumulators with
+/// CellAccum::merge, and finishes with cell_from_accum. Under any fault
 /// schedule that leaves each shard one successful attempt — and under total
 /// worker failure when fallback is enabled — the result is byte-identical
 /// to run_matrix_cell over the same range (tests/test_dispatch.cpp proves

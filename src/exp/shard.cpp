@@ -408,25 +408,15 @@ std::string default_worker_path() {
 }
 
 std::vector<ShardRange> plan_shards(std::uint64_t first_seed,
-                                    std::size_t seeds, unsigned shards,
-                                    std::size_t min_seeds_per_shard) {
+                                    std::size_t seeds, unsigned shards) {
   XCP_REQUIRE(shards > 0, "plan_shards needs at least one shard");
-  // The anti-sliver heuristic only ever *narrows* the spread: seeds go to
-  // the leading `spread` shards so each non-empty shard gets at least
-  // min_seeds_per_shard (one shard minimum; min = 0 keeps all of them).
-  std::uint64_t spread = shards;
-  if (min_seeds_per_shard > 0) {
-    const std::uint64_t fit = seeds / min_seeds_per_shard;
-    spread = std::max<std::uint64_t>(1, std::min<std::uint64_t>(spread, fit));
-  }
   std::vector<ShardRange> out;
   out.reserve(shards);
-  const std::uint64_t base = seeds / spread;
-  const std::uint64_t extra = seeds % spread;
+  const std::uint64_t base = seeds / shards;
+  const std::uint64_t extra = seeds % shards;
   std::uint64_t next = first_seed;
   for (unsigned i = 0; i < shards; ++i) {
-    const std::uint64_t count =
-        i < spread ? base + (i < extra ? 1 : 0) : 0;
+    const std::uint64_t count = base + (i < extra ? 1 : 0);
     out.push_back(ShardRange{next, count});
     next += count;
   }

@@ -126,18 +126,8 @@ struct ShardRange {
 /// ranges: the first (seeds % shards) ranges get one extra seed, so ragged
 /// divisions stay contiguous and deterministic. shards > seeds yields empty
 /// trailing ranges (their accumulators merge as no-ops).
-///
-/// `min_seeds_per_shard` > 0 is an anti-sliver heuristic: the seeds are
-/// spread over only as many leading shards as can each hold at least that
-/// many (never fewer than one shard), and the remaining ranges come back
-/// empty — a dispatcher then pays process spawn/supervision cost only for
-/// shards with enough work to amortize it. 0 (the default) preserves the
-/// historical spread-over-all-shards behaviour exactly. The returned
-/// vector always has `shards` entries and the non-empty ranges always
-/// concatenate to exactly [first_seed, first_seed + seeds).
 std::vector<ShardRange> plan_shards(std::uint64_t first_seed,
-                                    std::size_t seeds, unsigned shards,
-                                    std::size_t min_seeds_per_shard = 0);
+                                    std::size_t seeds, unsigned shards);
 
 /// Resolves the xcp_sweep_shard binary for process-transport callers:
 /// $XCP_SWEEP_SHARD_BIN when set (throws std::runtime_error if set but
@@ -149,7 +139,7 @@ std::string default_worker_path();
 
 // The driver that runs a cell as `shards` supervised worker processes —
 // exp::distributed_sweep and its DistributedOptions — lives in
-// exp/dispatch.hpp: dispatch policy (deadlines, retries, hedging,
-// fallback) is layered above this transport, not baked into it.
+// exp/dispatch.hpp: dispatch policy (deadlines, retries, fallback) is
+// layered above this transport, not baked into it.
 
 }  // namespace xcp::exp

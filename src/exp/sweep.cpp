@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace xcp::exp::detail {
 
 namespace {
@@ -31,68 +26,6 @@ SweepPool::~SweepPool() {
   }
   cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-}
-
-void SweepPool::set_options(const Options& opts) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  options_ = opts;
-}
-
-SweepPool::Options SweepPool::options() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return options_;
-}
-
-void SweepPool::apply_affinity(unsigned id, bool pin) {
-#if defined(__linux__)
-  // Per-thread latch: remember the mask the worker started with so that
-  // disabling pinning restores it exactly. Best effort throughout — a
-  // failed affinity call (cpusets, containers) leaves scheduling to the
-  // kernel, which is the unpinned behaviour anyway.
-  thread_local bool saved = false;
-  thread_local bool pinned = false;
-  thread_local cpu_set_t original;
-  if (pin == pinned) return;
-  if (pin) {
-    if (!saved) {
-      if (pthread_getaffinity_np(pthread_self(), sizeof(original),
-                                 &original) != 0) {
-        return;
-      }
-      saved = true;
-    }
-    // Round-robin worker ordinals over the CPUs the process may use. The
-    // caller occupies ordinal 0 wherever the scheduler put it, so pool
-    // worker `id` (ordinal id+1) starts from the second allowed CPU.
-    const int allowed = CPU_COUNT(&original);
-    if (allowed <= 1) return;
-    int want = static_cast<int>((id + 1) % static_cast<unsigned>(allowed));
-    int cpu = -1;
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (!CPU_ISSET(c, &original)) continue;
-      if (want-- == 0) {
-        cpu = c;
-        break;
-      }
-    }
-    if (cpu < 0) return;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
-      pinned = true;
-    }
-  } else {
-    if (saved &&
-        pthread_setaffinity_np(pthread_self(), sizeof(original), &original) ==
-            0) {
-      pinned = false;
-    }
-  }
-#else
-  (void)id;
-  (void)pin;
-#endif
 }
 
 unsigned SweepPool::resolved_workers(std::size_t count, unsigned workers) {
@@ -131,10 +64,8 @@ void SweepPool::worker_main(unsigned id) {
     void* ctx = ctx_;
     const std::uint64_t first_seed = first_seed_;
     const std::size_t count = count_;
-    const bool pin = options_.pin_workers;
     ++busy_;
     lock.unlock();
-    apply_affinity(id, pin);
     // Worker ordinal id+1: the sweep's calling thread is ordinal 0.
     drain(task, ctx, first_seed, count, id + 1);
     lock.lock();

@@ -47,21 +47,7 @@ class SweepPool {
   using Task = void (*)(void* ctx, std::uint64_t seed, std::size_t index,
                         unsigned worker);
 
-  struct Options {
-    /// Pin pool workers to CPUs, round-robin over the CPUs the process may
-    /// run on (pthread_setaffinity_np). Off by default: on shared boxes
-    /// the scheduler usually does better; on dedicated multi-socket sweep
-    /// machines pinning keeps each worker's thread-local pools (bodies,
-    /// trace chunks) on one node. The calling thread is never re-pinned —
-    /// only pool-owned workers. Takes effect at each worker's next job;
-    /// disabling restores the worker's original mask. No-op off Linux.
-    bool pin_workers = false;
-  };
-
   static SweepPool& instance();
-
-  void set_options(const Options& opts);
-  Options options() const;
 
   /// Runs task(ctx, first_seed + i, i, worker) for i in [0, count) across
   /// up to `workers` threads (0 = hardware concurrency), including the
@@ -83,11 +69,9 @@ class SweepPool {
   void worker_main(unsigned id);
   void drain(Task task, void* ctx, std::uint64_t first_seed,
              std::size_t count, unsigned worker);
-  /// Applies/undoes this worker thread's pinning to match `pin`.
-  static void apply_affinity(unsigned id, bool pin);
 
   std::mutex run_mu_;  // serialises concurrent run() callers
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::vector<std::thread> threads_;
@@ -100,7 +84,6 @@ class SweepPool {
   unsigned active_ = 0;  // pool threads allowed to join the current job
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
-  Options options_;  // published under mu_ with the job state
   std::atomic<std::size_t> next_{0};     // seed-index cursor
   std::atomic<std::size_t> pending_{0};  // indices not yet completed
 };

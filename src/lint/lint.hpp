@@ -113,7 +113,7 @@ struct Config {
   /// Files whose poll loops must never block.
   std::vector<std::string> loop_scopes{
       "src/exp/dispatch.cpp", "src/net/socket_transport.cpp",
-      "src/exp/remote.cpp", "src/net/node_runtime.cpp"};
+      "src/net/node_runtime.cpp"};
   /// Encode/decode code: wire-safety rules apply here.
   std::vector<std::string> wire_scopes{
       "src/net/wire.hpp", "src/net/wire.cpp", "src/exp/shard.hpp",

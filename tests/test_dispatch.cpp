@@ -1,5 +1,5 @@
 // Fault-tolerant shard dispatch tests: the supervised worker lifecycle
-// (deadlines, retry with backoff, straggler hedging, in-process fallback)
+// (deadlines, retry with backoff, in-process fallback)
 // and the central invariant — under any injected fault schedule that
 // leaves each shard one successful attempt, exp::distributed_sweep stays
 // byte-identical to the single-process exp::run_matrix_cell. The fault
@@ -58,7 +58,6 @@ DispatchOptions quick_dispatch() {
   d.max_attempts = 3;
   d.backoff_base = Millis(2);
   d.backoff_cap = Millis(20);
-  d.hedge_stragglers = false;  // keep attempt counts deterministic
   return d;
 }
 
@@ -167,10 +166,15 @@ TEST(DispatchFaults, StalledWorkerIsKilledWithinTheDeadline) {
   EXPECT_LT(wall.count(), 5'000);
   EXPECT_EQ(report.timeouts, 4u);
   EXPECT_EQ(report.fallbacks, 2u);
+  // A deadline kill is one SIGKILL followed by a reap: never before the
+  // deadline, and promptly after it.
+  const std::int64_t deadline_ms = opts.dispatch.shard_deadline.count();
   for (const AttemptRecord& a : report.attempts) {
-    if (a.outcome == AttemptRecord::Outcome::kTimeout) {
-      EXPECT_LT(a.wall.count(), 2'000) << "kill did not happen promptly";
-    }
+    if (a.outcome != AttemptRecord::Outcome::kTimeout) continue;
+    EXPECT_EQ(a.term_signal, SIGKILL);
+    EXPECT_GE(a.wall.count(), deadline_ms);
+    EXPECT_LT(a.wall.count(), deadline_ms + 2'000)
+        << "kill did not happen promptly";
   }
 }
 
@@ -250,53 +254,36 @@ TEST(DispatchFaults, FallbackDisabledThrowsWithStderrAndExitCode) {
   }
 }
 
-// ------------------------------------------------------- straggler hedging
+// ------------------------------------------------------------ slow shards
 
-TEST(DispatchFaults, StragglerGetsHedgedAndFirstValidBlobWins) {
+TEST(DispatchFaults, DefaultOptionsNeverDuplicateASlowShard) {
   const std::string worker = worker_or_skip();
   if (worker.empty()) GTEST_SKIP() << "xcp_sweep_shard binary not found";
 
-  // Shard 3 of plan_shards(1, 6, 3) starts at seed 5; its first attempt
-  // sleeps 5 s while the other shards finish in milliseconds. The hedging
-  // policy must re-issue it (attempt 2 runs clean) and the sweep must
-  // finish far before the sleeping original would have.
+  // plan_shards(1, 8, 4) puts the shards at first seeds 1, 3, 5, 7; the
+  // seed-7 shard sleeps 350 ms on its first attempt while the others
+  // finish in milliseconds. Default options wait a slow attempt out
+  // (well inside its deadline) instead of launching a duplicate: one
+  // launch per shard, no retry, and the same cell.
   DistributedOptions opts;
   opts.worker_path = worker;
   opts.dispatch = quick_dispatch();
-  opts.dispatch.hedge_stragglers = true;
-  opts.dispatch.straggler_multiple = 3.0;
-  opts.dispatch.straggler_floor = Millis(50);
-  opts.dispatch.shard_deadline = Millis(30'000);
   opts.dispatch.extra_worker_args = {
-      "--fault", "slow-start@1:if-first-seed=5",
-      "--fault-delay-ms", "5000"};
+      "--fault", "slow-start@1:if-first-seed=7",
+      "--fault-delay-ms", "350"};
   DispatchReport report;
   opts.report = &report;
 
   const MatrixCell single = run_matrix_cell(ProtocolKind::kWeakContract,
                                             Regime::kSynchronyConforming,
-                                            kN, 6);
-  const Clock::time_point t0 = Clock::now();
+                                            kN, 8);
   const MatrixCell swept = distributed_sweep(ProtocolKind::kWeakContract,
                                              Regime::kSynchronyConforming,
-                                             kN, 6, 3, 1, opts);
-  const Millis wall =
-      std::chrono::duration_cast<Millis>(Clock::now() - t0);
-
+                                             kN, 8, 4, 1, opts);
   expect_cells_identical(swept, single);
-  EXPECT_GE(report.hedges, 1u);
-  // First valid blob wins: the sleeping original was killed and recorded,
-  // not waited for.
-  EXPECT_GE(report.superseded, 1u);
-  EXPECT_LT(wall.count(), 4'000)
-      << "hedging failed to rescue the straggler";
-  bool saw_hedge_record = false;
-  for (const AttemptRecord& a : report.attempts) {
-    if (a.hedge && a.outcome == AttemptRecord::Outcome::kSuccess) {
-      saw_hedge_record = true;
-    }
-  }
-  EXPECT_TRUE(saw_hedge_record);
+  EXPECT_EQ(report.shards, 4u);
+  EXPECT_EQ(report.launches, report.shards) << report.to_string();
+  EXPECT_TRUE(report.clean()) << report.to_string();
 }
 
 // ---------------------------------------- pipe discipline under huge output
@@ -456,45 +443,6 @@ TEST(Dispatcher, ReportRendersOutcomesAndStderr) {
   EXPECT_FALSE(report.clean());
 }
 
-TEST(DispatchFaults, EvenShardCountHedgesOffTheAveragedMedian) {
-  const std::string worker = worker_or_skip();
-  if (worker.empty()) GTEST_SKIP() << "xcp_sweep_shard binary not found";
-
-  // With 4 shards and one straggler, the hedging threshold is computed
-  // from an even completion sample (3 completions by the time the policy
-  // looks, then re-checks) — the median is the average of the middle pair,
-  // not an element. plan_shards(1, 8, 4) puts the shards at first seeds
-  // 1, 3, 5, 7; the seed-7 shard sleeps 5 s on its first attempt.
-  DistributedOptions opts;
-  opts.worker_path = worker;
-  opts.dispatch = quick_dispatch();
-  opts.dispatch.hedge_stragglers = true;
-  opts.dispatch.straggler_multiple = 3.0;
-  opts.dispatch.straggler_floor = Millis(50);
-  opts.dispatch.shard_deadline = Millis(30'000);
-  opts.dispatch.extra_worker_args = {
-      "--fault", "slow-start@1:if-first-seed=7",
-      "--fault-delay-ms", "5000"};
-  DispatchReport report;
-  opts.report = &report;
-
-  const MatrixCell single = run_matrix_cell(ProtocolKind::kWeakContract,
-                                            Regime::kSynchronyConforming,
-                                            kN, 8);
-  const Clock::time_point t0 = Clock::now();
-  const MatrixCell swept = distributed_sweep(ProtocolKind::kWeakContract,
-                                             Regime::kSynchronyConforming,
-                                             kN, 8, 4, 1, opts);
-  const Millis wall =
-      std::chrono::duration_cast<Millis>(Clock::now() - t0);
-
-  expect_cells_identical(swept, single);
-  EXPECT_GE(report.hedges, 1u);
-  EXPECT_GE(report.superseded, 1u);
-  EXPECT_LT(wall.count(), 4'000)
-      << "even-count median failed to trigger the hedge";
-}
-
 // --------------------------------------------------- stderr capture cap
 
 TEST(DispatchFaults, StderrCapIsConfigurableAndTruncatesNotDrops) {
@@ -543,10 +491,9 @@ TEST(Dispatcher, ReportToStringGoldenFormat) {
   DispatchReport report;
   report.shards = 2;
   report.launches = 4;
-  report.retries = 1;
+  report.retries = 2;
   report.timeouts = 1;
-  report.hedges = 1;
-  report.superseded = 1;
+  report.crashes = 1;
 
   AttemptRecord timeout;
   timeout.shard = 0;
@@ -565,163 +512,33 @@ TEST(Dispatcher, ReportToStringGoldenFormat) {
   ok.wall = Millis(3);
   report.attempts.push_back(ok);
 
-  AttemptRecord hedge;
-  hedge.shard = 1;
-  hedge.attempt = 2;
-  hedge.hedge = true;
-  hedge.outcome = AttemptRecord::Outcome::kSuperseded;
-  hedge.wall = Millis(5);
-  report.attempts.push_back(hedge);
+  AttemptRecord crash;
+  crash.shard = 0;
+  crash.attempt = 2;
+  crash.outcome = AttemptRecord::Outcome::kCrashed;
+  crash.term_signal = 6;
+  crash.wall = Millis(5);
+  report.attempts.push_back(crash);
+
+  AttemptRecord retried = ok;
+  retried.shard = 0;
+  retried.attempt = 3;
+  report.attempts.push_back(retried);
 
   const std::string golden =
-      "dispatch report: 2 shard(s), 4 launch(es), 1 retry, 1 timeout(s), "
-      "0 crash(es), 0 wire reject(s), 0 meta mismatch(es), "
-      "0 nonzero exit(s), 0 launch failure(s), 1 hedge(s), 1 superseded, "
-      "0 fallback(s)\n"
+      "dispatch report: 2 shard(s), 4 launch(es), 2 retries, 1 timeout(s), "
+      "1 crash(es), 0 wire reject(s), 0 meta mismatch(es), "
+      "0 nonzero exit(s), 0 launch failure(s), 0 fallback(s)\n"
       "  shard 0 attempt 1: timeout, signal 9, deadline 250 ms after 251 ms\n"
       "    stderr: late\n"
       "    stderr: very late\n"
-      "  shard 1 attempt 2 (hedge): superseded after 5 ms";
+      "  shard 0 attempt 2: crashed, signal 6 after 5 ms";
   EXPECT_EQ(report.to_string(), golden);
 }
 
-TEST(Dispatcher, ReportToStringGoldenFormatWithHosts) {
-  // Same contract as the golden above, for pooled-launcher sweeps: host
-  // rollup lines between the summary and the attempt log, and an @host tag
-  // on every attempt a pool placed. Plain local dispatch renders neither.
-  DispatchReport report;
-  report.shards = 1;
-  report.launches = 2;
-  report.retries = 1;
-  report.timeouts = 1;
-
-  DispatchReport::HostRecord a;
-  a.host = "node-a";
-  a.attempts = 5;
-  a.failures = 3;
-  a.quarantines = 1;
-  a.startup_cost = Millis(12);
-  report.hosts.push_back(a);
-
-  DispatchReport::HostRecord b;  // blacklisted, never probed successfully
-  b.host = "node-b";
-  b.failures = 4;
-  b.quarantines = 2;
-  b.blacklisted = true;
-  report.hosts.push_back(b);
-
-  AttemptRecord timeout;
-  timeout.shard = 0;
-  timeout.attempt = 1;
-  timeout.host = "node-a";
-  timeout.outcome = AttemptRecord::Outcome::kTimeout;
-  timeout.term_signal = 9;
-  timeout.detail = "deadline 250 ms";
-  timeout.wall = Millis(251);
-  report.attempts.push_back(timeout);
-
-  AttemptRecord ok;  // success records render nothing, host or not
-  ok.shard = 0;
-  ok.attempt = 2;
-  ok.host = "node-b";
-  ok.outcome = AttemptRecord::Outcome::kSuccess;
-  report.attempts.push_back(ok);
-
-  const std::string golden =
-      "dispatch report: 1 shard(s), 2 launch(es), 1 retry, 1 timeout(s), "
-      "0 crash(es), 0 wire reject(s), 0 meta mismatch(es), "
-      "0 nonzero exit(s), 0 launch failure(s), 0 hedge(s), 0 superseded, "
-      "0 fallback(s)\n"
-      "  host node-a: 5 attempt(s), 3 failure(s), 1 quarantine(s), "
-      "startup 12 ms\n"
-      "  host node-b: 0 attempt(s), 4 failure(s), 2 quarantine(s), "
-      "blacklisted\n"
-      "  shard 0 attempt 1 @node-a: timeout, signal 9, "
-      "deadline 250 ms after 251 ms";
-  EXPECT_EQ(report.to_string(), golden);
-}
-
-// ------------------------------------------- termination escalation + EINTR
+// ------------------------------------------------------- EINTR hardening
 
 #if !defined(_WIN32)
-TEST(DispatchFaults, SigtermImmuneWorkerIsEscalatedToSigkill) {
-  const std::string worker = worker_or_skip();
-  if (worker.empty()) GTEST_SKIP() << "xcp_sweep_shard binary not found";
-
-  // Every attempt installs SIG_IGN for SIGTERM and stalls: the polite
-  // deadline kill does nothing, so the sweep completes only if the
-  // dispatcher escalates to SIGKILL after term_grace — asynchronously,
-  // without stalling supervision of other shards.
-  DistributedOptions opts;
-  opts.worker_path = worker;
-  opts.dispatch = quick_dispatch();
-  opts.dispatch.shard_deadline = Millis(250);
-  opts.dispatch.term_grace = Millis(200);
-  opts.dispatch.max_attempts = 2;
-  opts.dispatch.extra_worker_args = {"--fault", "ignore-sigterm@99"};
-  DispatchReport report;
-  opts.report = &report;
-
-  const MatrixCell single = run_matrix_cell(ProtocolKind::kTimeBounded,
-                                            Regime::kSynchronyConforming,
-                                            kN, 4);
-  const Clock::time_point t0 = Clock::now();
-  const MatrixCell swept =
-      distributed_sweep(ProtocolKind::kTimeBounded,
-                        Regime::kSynchronyConforming, kN, 4, 2, 1, opts);
-  const Millis wall =
-      std::chrono::duration_cast<Millis>(Clock::now() - t0);
-
-  expect_cells_identical(swept, single);
-  EXPECT_LT(wall.count(), 5'000);
-  EXPECT_EQ(report.timeouts, 4u);
-  EXPECT_EQ(report.fallbacks, 2u);
-  for (const AttemptRecord& a : report.attempts) {
-    if (a.outcome != AttemptRecord::Outcome::kTimeout) continue;
-    EXPECT_EQ(a.term_signal, SIGKILL)
-        << "a SIGTERM-immune worker can only have died by escalation";
-    // Died no earlier than deadline + grace, and promptly after it.
-    EXPECT_GE(a.wall.count(), 440);
-    EXPECT_LT(a.wall.count(), 2'000);
-  }
-}
-
-TEST(DispatchFaults, CompliantStallerDiesOnSigtermWithinTheGracePeriod) {
-  const std::string worker = worker_or_skip();
-  if (worker.empty()) GTEST_SKIP() << "xcp_sweep_shard binary not found";
-
-  // The flip side of escalation: a worker that honors SIGTERM is gone
-  // well before the grace period would trigger SIGKILL.
-  DistributedOptions opts;
-  opts.worker_path = worker;
-  opts.dispatch = quick_dispatch();
-  opts.dispatch.shard_deadline = Millis(250);
-  opts.dispatch.term_grace = Millis(10'000);  // escalation would be slow
-  opts.dispatch.max_attempts = 2;
-  opts.dispatch.extra_worker_args = {"--fault", "stall-forever@99"};
-  DispatchReport report;
-  opts.report = &report;
-
-  const MatrixCell single = run_matrix_cell(ProtocolKind::kTimeBounded,
-                                            Regime::kSynchronyConforming,
-                                            kN, 4);
-  const Clock::time_point t0 = Clock::now();
-  const MatrixCell swept =
-      distributed_sweep(ProtocolKind::kTimeBounded,
-                        Regime::kSynchronyConforming, kN, 4, 2, 1, opts);
-  const Millis wall =
-      std::chrono::duration_cast<Millis>(Clock::now() - t0);
-
-  expect_cells_identical(swept, single);
-  EXPECT_LT(wall.count(), 5'000) << "sweep waited out the grace period "
-                                    "instead of reaping the SIGTERM exit";
-  for (const AttemptRecord& a : report.attempts) {
-    if (a.outcome != AttemptRecord::Outcome::kTimeout) continue;
-    EXPECT_EQ(a.term_signal, SIGTERM);
-    EXPECT_LT(a.wall.count(), 2'000);
-  }
-}
-
 TEST(DispatchFaults, SignalStormDuringSweepIsByteIdentical) {
   const std::string worker = worker_or_skip();
   if (worker.empty()) GTEST_SKIP() << "xcp_sweep_shard binary not found";
@@ -788,6 +605,9 @@ TEST(WorkerTool, ExitCodesAreDistinct) {
   EXPECT_EQ(exit_of("--bogus-flag"), worker_exit::kUsage);
   EXPECT_EQ(exit_of(""), worker_exit::kUsage);  // missing protocol/regime
   EXPECT_EQ(exit_of("--protocol time-bounded --regime synchrony --seeds x"),
+            worker_exit::kUsage);
+  // A deal needs at least one escrow: n = 0 is a bad flag value.
+  EXPECT_EQ(exit_of("--protocol time-bounded --regime synchrony --n 0"),
             worker_exit::kUsage);
   // A clean tiny run exits 0 and emits a parseable blob (smoke).
   EXPECT_EQ(exit_of("--protocol time-bounded --regime synchrony --seeds 1"),

@@ -219,23 +219,6 @@ TEST(MatrixRunner, EarlyStopCellMatchesFullHorizonCell) {
   }
 }
 
-TEST(Sweep, PinnedWorkersProduceIdenticalResults) {
-  // Worker pinning is a scheduling hint, never a semantics change: the
-  // same sweep with pin_workers on and off must produce identical results
-  // (and the option must be restorable).
-  auto& pool = detail::SweepPool::instance();
-  const auto saved = pool.options();
-  const auto fn = [](std::uint64_t seed) { return seed * seed + 1; };
-  const auto unpinned = parallel_sweep<std::uint64_t>(1, 64, fn, 4);
-  detail::SweepPool::Options pin;
-  pin.pin_workers = true;
-  pool.set_options(pin);
-  const auto pinned = parallel_sweep<std::uint64_t>(1, 64, fn, 4);
-  pool.set_options(saved);
-  EXPECT_EQ(pinned, unpinned);
-  EXPECT_FALSE(pool.options().pin_workers);
-}
-
 TEST(MatrixRunner, StreamingCellIsWorkerCountInvariant) {
   // Same cell computed with the pool free to shard vs. forced inline:
   // results must not depend on sharding. run_matrix_cell has no workers

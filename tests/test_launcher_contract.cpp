@@ -1,11 +1,8 @@
-// Conformance battery for the WorkerLauncher seam: every launcher the
-// dispatcher can sit on — the plain local process launcher, the
-// deterministic FakeRemoteLauncher harness, and the sh-exec RemoteLauncher
-// (the single-box instantiation of the command-template transport) — must
-// honor the same contract: non-blocking stream fds, non-blocking try_reap
-// while the worker runs, hard/soft termination that leaves the handle
-// reapable, preserved exit codes, and tolerance of the EOF-before-reapable
-// race the dispatcher's poll loop leans on.
+// Conformance battery for the WorkerLauncher seam, run against the local
+// process launcher the dispatcher sits on: non-blocking stream fds,
+// non-blocking try_reap while the worker runs, termination that leaves the
+// handle reapable, preserved exit codes, and tolerance of the
+// EOF-before-reapable race the dispatcher's poll loop leans on.
 
 #include <gtest/gtest.h>
 
@@ -17,15 +14,11 @@
 #endif
 
 #include <chrono>
-#include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/dispatch.hpp"
-#include "exp/host_pool.hpp"
-#include "exp/remote.hpp"
 
 namespace xcp::exp {
 namespace {
@@ -33,43 +26,10 @@ namespace {
 using Millis = std::chrono::milliseconds;
 using Clock = std::chrono::steady_clock;
 
-/// One launcher-under-test plus whatever it needs kept alive (pools).
-struct Fixture {
-  virtual ~Fixture() = default;
-  virtual WorkerLauncher& launcher() = 0;
-};
-
-struct LocalFixture : Fixture {
-  LocalProcessLauncher l;
-  WorkerLauncher& launcher() override { return l; }
-};
-
-struct FakeRemoteFixture : Fixture {
-  HostPool pool;
-  FakeRemoteLauncher l{pool, /*worker_path=*/""};
-  FakeRemoteFixture() {
-    pool.add_host("contract-a");
-    pool.add_host("contract-b");
-  }
-  WorkerLauncher& launcher() override { return l; }
-};
-
-struct ShExecFixture : Fixture {
-  HostPool pool;
-  RemoteLauncher l{pool, RemoteOptions::sh_template()};
-  ShExecFixture() { pool.add_host("contract-box"); }
-  WorkerLauncher& launcher() override { return l; }
-};
-
-struct Param {
-  const char* name;
-  std::function<std::unique_ptr<Fixture>()> make;
-};
-
-class LauncherContract : public ::testing::TestWithParam<Param> {
+class LauncherContract : public ::testing::Test {
  protected:
-  std::unique_ptr<Fixture> fx_ = GetParam().make();
-  WorkerLauncher& launcher() { return fx_->launcher(); }
+  LocalProcessLauncher launcher_;
+  WorkerLauncher& launcher() { return launcher_; }
 
   static void close_handle(const WorkerHandle& w) {
     if (w.stdout_fd >= 0) ::close(w.stdout_fd);
@@ -113,7 +73,7 @@ class LauncherContract : public ::testing::TestWithParam<Param> {
   }
 };
 
-TEST_P(LauncherContract, LaunchRoundTripsStdoutAndExitZero) {
+TEST_F(LauncherContract, LaunchRoundTripsStdoutAndExitZero) {
   WorkerHandle w =
       launcher().launch({"/bin/sh", "-c", "printf contract-ok"});
   EXPECT_GT(w.pid, 0);
@@ -127,7 +87,7 @@ TEST_P(LauncherContract, LaunchRoundTripsStdoutAndExitZero) {
   close_handle(w);
 }
 
-TEST_P(LauncherContract, StreamFdsAreNonBlocking) {
+TEST_F(LauncherContract, StreamFdsAreNonBlocking) {
   WorkerHandle w = launcher().launch({"/bin/sh", "-c", "sleep 30"});
   for (const int fd : {w.stdout_fd, w.stderr_fd}) {
     const int flags = ::fcntl(fd, F_GETFL);
@@ -145,7 +105,7 @@ TEST_P(LauncherContract, StreamFdsAreNonBlocking) {
   close_handle(w);
 }
 
-TEST_P(LauncherContract, TryReapIsNonBlockingWhileRunning) {
+TEST_F(LauncherContract, TryReapIsNonBlockingWhileRunning) {
   WorkerHandle w = launcher().launch({"/bin/sh", "-c", "sleep 30"});
   const Clock::time_point t0 = Clock::now();
   int raw = 0;
@@ -156,7 +116,7 @@ TEST_P(LauncherContract, TryReapIsNonBlockingWhileRunning) {
   close_handle(w);
 }
 
-TEST_P(LauncherContract, TerminateKillsAndLeavesTheHandleReapable) {
+TEST_F(LauncherContract, TerminateKillsAndLeavesTheHandleReapable) {
   WorkerHandle w = launcher().launch({"/bin/sh", "-c", "sleep 30"});
   launcher().terminate(w);
   launcher().terminate(w);  // idempotent
@@ -166,17 +126,7 @@ TEST_P(LauncherContract, TerminateKillsAndLeavesTheHandleReapable) {
   close_handle(w);
 }
 
-TEST_P(LauncherContract, TerminateSoftDeliversSigterm) {
-  WorkerHandle w = launcher().launch({"/bin/sh", "-c", "sleep 30"});
-  launcher().terminate_soft(w);
-  int raw = 0;
-  ASSERT_TRUE(reap_within(launcher(), w, raw));
-  EXPECT_TRUE(WIFSIGNALED(raw));
-  EXPECT_EQ(WTERMSIG(raw), SIGTERM);
-  close_handle(w);
-}
-
-TEST_P(LauncherContract, ExitCodesSurviveTheTransport) {
+TEST_F(LauncherContract, ExitCodesSurviveTheTransport) {
   WorkerHandle w = launcher().launch({"/bin/sh", "-c", "exit 7"});
   slurp(w.stdout_fd);
   int raw = 0;
@@ -186,7 +136,7 @@ TEST_P(LauncherContract, ExitCodesSurviveTheTransport) {
   close_handle(w);
 }
 
-TEST_P(LauncherContract, StderrTravelsItsOwnStream) {
+TEST_F(LauncherContract, StderrTravelsItsOwnStream) {
   WorkerHandle w = launcher().launch(
       {"/bin/sh", "-c", "printf out; printf err >&2"});
   EXPECT_EQ(slurp(w.stdout_fd), "out");
@@ -196,7 +146,7 @@ TEST_P(LauncherContract, StderrTravelsItsOwnStream) {
   close_handle(w);
 }
 
-TEST_P(LauncherContract, EofCanPrecedeReapabilityWithoutDeadlock) {
+TEST_F(LauncherContract, EofCanPrecedeReapabilityWithoutDeadlock) {
   // A worker that closes its stdio then lingers: the streams hit EOF while
   // the process is alive. try_reap stays false (and keeps not blocking)
   // until the exit really lands.
@@ -209,22 +159,6 @@ TEST_P(LauncherContract, EofCanPrecedeReapabilityWithoutDeadlock) {
   EXPECT_EQ(WEXITSTATUS(raw), 0);
   close_handle(w);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Seam, LauncherContract,
-    ::testing::Values(
-        Param{"local", []() -> std::unique_ptr<Fixture> {
-                return std::make_unique<LocalFixture>();
-              }},
-        Param{"fake_remote", []() -> std::unique_ptr<Fixture> {
-                return std::make_unique<FakeRemoteFixture>();
-              }},
-        Param{"sh_exec_remote", []() -> std::unique_ptr<Fixture> {
-                return std::make_unique<ShExecFixture>();
-              }}),
-    [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(info.param.name);
-    });
 
 }  // namespace
 }  // namespace xcp::exp

@@ -418,100 +418,6 @@ TEST(ShardWire, ErrorsCarryByteOffsetAndFrameContext) {
   }
 }
 
-TEST(ShardPlan, MinSeedsPerShardConcentratesWork) {
-  // 10 seeds over 8 shards with a floor of 3: only 3 shards can hold >= 3
-  // seeds, so the plan concentrates on the first three and leaves the rest
-  // empty — still contiguous, still summing exactly.
-  const auto plan = plan_shards(100, 10, 8, 3);
-  ASSERT_EQ(plan.size(), 8u);
-  EXPECT_EQ(plan[0].count, 4u);  // 10 = 4 + 3 + 3
-  EXPECT_EQ(plan[1].count, 3u);
-  EXPECT_EQ(plan[2].count, 3u);
-  std::uint64_t next = 100;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(plan[i].first_seed, next) << i;
-    if (i >= 3) {
-      EXPECT_EQ(plan[i].count, 0u) << i;
-    }
-    next += plan[i].count;
-    total += plan[i].count;
-  }
-  EXPECT_EQ(total, 10u);
-
-  // Fewer seeds than the floor: everything lands on shard 0 (the heuristic
-  // never drops work, and never returns zero non-empty shards).
-  const auto tiny = plan_shards(5, 2, 4, 100);
-  EXPECT_EQ(tiny[0].count, 2u);
-  for (std::size_t i = 1; i < tiny.size(); ++i) EXPECT_EQ(tiny[i].count, 0u);
-
-  // Zero seeds stays all-empty regardless of the floor.
-  for (const ShardRange& r : plan_shards(9, 0, 4, 7)) {
-    EXPECT_EQ(r.count, 0u);
-  }
-
-  // A floor the partition already satisfies changes nothing: byte-identical
-  // plan to the default.
-  const auto def = plan_shards(1, 40, 4);
-  const auto floored = plan_shards(1, 40, 4, 10);
-  for (std::size_t i = 0; i < def.size(); ++i) {
-    EXPECT_EQ(def[i].first_seed, floored[i].first_seed) << i;
-    EXPECT_EQ(def[i].count, floored[i].count) << i;
-  }
-}
-
-TEST(ShardPlan, MinSeedsZeroIsIdenticalToHistoricalPartition) {
-  // The knob's default must preserve the pre-knob partition exactly, for
-  // every shape the fuzz loop throws at it.
-  Rng rng(77);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t first = rng.next_u64() >> 16;
-    const std::size_t seeds = static_cast<std::size_t>(rng.next_below(5000));
-    const unsigned shards = 1 + static_cast<unsigned>(rng.next_below(64));
-    const auto a = plan_shards(first, seeds, shards);
-    const auto b = plan_shards(first, seeds, shards, 0);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].first_seed, b[k].first_seed);
-      EXPECT_EQ(a[k].count, b[k].count);
-    }
-  }
-}
-
-TEST(ShardPlan, MinSeedsFuzzInvariants) {
-  // Under any (first, seeds, shards, min) shape: sizes stay `shards`,
-  // ranges stay contiguous and sum exactly, and every non-empty range
-  // meets the floor whenever the floor is satisfiable at all (i.e. unless
-  // a single shard holds the whole remainder).
-  Rng rng(78);
-  for (int i = 0; i < 300; ++i) {
-    const std::uint64_t first = rng.next_u64() >> 16;
-    const std::size_t seeds = static_cast<std::size_t>(rng.next_below(5000));
-    const unsigned shards = 1 + static_cast<unsigned>(rng.next_below(64));
-    const std::size_t min = static_cast<std::size_t>(rng.next_below(200));
-    const auto plan = plan_shards(first, seeds, shards, min);
-    ASSERT_EQ(plan.size(), shards);
-    std::uint64_t next = first;
-    std::uint64_t total = 0;
-    std::size_t nonempty = 0;
-    for (const ShardRange& r : plan) {
-      EXPECT_EQ(r.first_seed, next) << "iteration " << i;
-      next += r.count;
-      total += r.count;
-      if (r.count > 0) ++nonempty;
-    }
-    EXPECT_EQ(total, seeds) << "iteration " << i;
-    if (min > 0 && seeds > 0) {
-      for (const ShardRange& r : plan) {
-        if (r.count == 0) continue;
-        if (nonempty > 1) {
-          EXPECT_GE(r.count, min) << "iteration " << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(ShardPlan, FuzzRaggedPartitionsAlwaysSumExactly) {
   Rng rng(20260807);
   for (int i = 0; i < 300; ++i) {

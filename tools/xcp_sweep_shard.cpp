@@ -62,7 +62,6 @@ int usage(const char* argv0) {
       "  crash-mid-blob      write half the blob, then SIGKILL\n"
       "  corrupt-blob        flip the first frame tag byte (parse reject)\n"
       "  stall-forever       never write, never exit (deadline fodder)\n"
-      "  ignore-sigterm      SIG_IGN SIGTERM, then stall (escalation fodder)\n"
       "  slow-start          sleep --fault-delay-ms, then run normally\n"
       "  wrong-meta          blob describes a shifted seed range\n"
       "  nonzero-exit        diagnostic on stderr, exit 7\n"
@@ -113,7 +112,6 @@ enum class FaultMode {
   kCrashMidBlob,
   kCorruptBlob,
   kStallForever,
-  kIgnoreSigterm,
   kSlowStart,
   kWrongMeta,
   kNonzeroExit,
@@ -132,7 +130,6 @@ bool parse_fault_mode(const std::string& tok, FaultMode& out) {
   else if (tok == "crash-mid-blob") out = FaultMode::kCrashMidBlob;
   else if (tok == "corrupt-blob") out = FaultMode::kCorruptBlob;
   else if (tok == "stall-forever") out = FaultMode::kStallForever;
-  else if (tok == "ignore-sigterm") out = FaultMode::kIgnoreSigterm;
   else if (tok == "slow-start") out = FaultMode::kSlowStart;
   else if (tok == "wrong-meta") out = FaultMode::kWrongMeta;
   else if (tok == "nonzero-exit") out = FaultMode::kNonzeroExit;
@@ -209,7 +206,11 @@ int main(int argc, char** argv) {
       have_regime = true;
     } else if (arg == "--n") {
       const char* v = value();
-      if (v == nullptr || !parse_i32(v, meta.n)) return usage(argv[0]);
+      // A deal needs at least one escrow: n = 0 is a bad flag value, not
+      // an internal error in the run.
+      if (v == nullptr || !parse_i32(v, meta.n) || meta.n < 1) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--first-seed") {
       const char* v = value();
       if (v == nullptr || !parse_u64(v, meta.first_seed)) {
@@ -273,13 +274,6 @@ int main(int argc, char** argv) {
   }
   if (fault == FaultMode::kCrashBeforeWrite) crash_now();
   if (fault == FaultMode::kStallForever) stall_forever();
-  if (fault == FaultMode::kIgnoreSigterm) {
-    // The misbehaving-teardown case for the dispatcher's SIGTERM -> grace
-    // -> SIGKILL escalation: polite termination does nothing, the hard
-    // kill after term_grace is the only thing that ends this worker.
-    std::signal(SIGTERM, SIG_IGN);
-    stall_forever();
-  }
   if (fault == FaultMode::kSlowStart) {
     std::this_thread::sleep_for(std::chrono::milliseconds(fault_delay_ms));
   }
