@@ -19,6 +19,7 @@
 #include <cstring>
 #include <utility>
 
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 
@@ -438,7 +439,7 @@ struct CellRun {
             st.accum = std::move(parsed.accum);
           }
         }
-      } catch (const WireError& e) {
+      } catch (const support::ByteError& e) {
         rec.outcome = Outcome::kWireReject;
         rec.detail = e.what();
       }
@@ -753,8 +754,10 @@ MatrixCell distributed_sweep(ProtocolKind protocol, Regime regime, int n,
           protocol, regime, n, range.count, range.first_seed, opts.cell);
       ShardBlob parsed = parse_shard_blob(serialize_shard_blob(m, acc));
       if (!(parsed.meta == m)) {
-        throw WireError("shard " + std::to_string(i) +
-                        " meta does not match the work it was assigned");
+        throw support::ByteError("shard " + std::to_string(i) +
+                                     " meta does not match the work it was "
+                                     "assigned",
+                                 0);
       }
       total.merge(std::move(parsed.accum));
       if (opts.report != nullptr) {

@@ -55,7 +55,7 @@ class DispatchError : public std::runtime_error {
 /// serialization failure from a short write without parsing stderr.
 namespace worker_exit {
 inline constexpr int kUsage = 2;       // bad/missing flags
-inline constexpr int kWireError = 3;   // serialize/parse failed (WireError)
+inline constexpr int kWireError = 3;   // serialize/parse failed (ByteError)
 inline constexpr int kShortWrite = 4;  // stdout write came up short
 inline constexpr int kInternal = 5;    // any other exception
 }  // namespace worker_exit
@@ -147,7 +147,7 @@ struct AttemptRecord {
     kTimeout,        // deadline exceeded, worker killed
     kCrashed,        // exited on a signal
     kExitNonzero,    // clean exit with nonzero code
-    kWireReject,     // exit 0 but blob rejected (WireError / oversize)
+    kWireReject,     // exit 0 but blob rejected (ByteError / oversize)
     kMetaMismatch,   // blob parsed but describes different work
     kLaunchFailed,   // launcher could not start the worker
     kFallback,       // ran in-process after retry exhaustion
@@ -250,7 +250,7 @@ struct DistributedOptions {
 /// schedule that leaves each shard one successful attempt — and under total
 /// worker failure when fallback is enabled — the result is byte-identical
 /// to run_matrix_cell over the same range (tests/test_dispatch.cpp proves
-/// it per injected fault mode). Throws WireError/DispatchError only when a
+/// it per injected fault mode). Throws ByteError/DispatchError only when a
 /// shard can produce no result at all.
 MatrixCell distributed_sweep(ProtocolKind protocol, Regime regime, int n,
                              std::size_t seeds, unsigned shards,

@@ -1,11 +1,11 @@
 #pragma once
 // Cross-process sweep sharding: the transport that turns the single-box
-// SweepPool into a multi-process (and machine-ready) sweep fabric.
+// SweepPool into a multi-process sweep fabric.
 //
 // Per-seed determinism plus order-insensitive mergeable accumulators
 // (CellAccum's contract) already make shard results combinable by
 // construction; this header supplies the transport: a versioned,
-// endianness-stable wire format for CellAccum, the shard envelope with its
+// endianness-stable blob format for CellAccum, the shard envelope with its
 // meta cross-check, seed-range planning, and the worker CLI tokens. The
 // driver that launches and supervises K worker processes and folds their
 // blobs with the existing merge() is layered above in exp/dispatch.hpp.
@@ -15,12 +15,9 @@
 // string (tests/test_shard.cpp and tests/test_dispatch.cpp prove it across
 // the 6x4 theorem matrix for K in {1, 2, 3, 7}, faults included).
 //
-// Wire format (version 1)
-// -----------------------
-//   header : magic u32 ("XCPA", little-endian byte order throughout —
-//            every integer is serialized byte-wise LE, so blobs are
-//            byte-identical across host endianness), version u16,
-//            reserved u16 (zero)
+// Blob format (version 1), on the shared byte codec (support/bytes.hpp)
+// ------------------------------------------------------------------------
+//   header : magic "XCPA" | version u16 | flags u16 (= 0)
 //   fields : a sequence of { tag u16, length u32, payload[length] }
 //            frames until end of blob
 //
@@ -28,37 +25,19 @@
 // future v2 reader upgrades a v1 payload by defaulting the fields v1 never
 // wrote, and a v1 reader *rejects* a v2 payload outright (version > reader)
 // instead of misparsing it. Within a supported version, unknown tags,
-// duplicate tags, missing required tags, short frames and trailing bytes
-// are all hard parse errors (WireError) — corrupt or truncated blobs are
-// rejected loudly, never interpreted.
+// duplicate tags, missing required tags, short frames, trailing bytes and
+// flag bytes other than 0/1 are all hard parse errors (support::ByteError).
+// docs/WIRE.md, "Byte codec", has the grammar and the rejection taxonomy
+// shared with the protocol frames and the journal.
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/runner.hpp"
 
 namespace xcp::exp {
-
-/// Parse/validation failure on an accumulator blob: bad magic, unsupported
-/// version, unknown/duplicate/missing field, short frame, trailing bytes,
-/// or a meta cross-check mismatch. Deliberately a distinct type so callers
-/// can tell "the transport handed us garbage" from simulator invariants.
-/// Same diagnostic shape as net::WireError: the message names the byte
-/// offset and the frame/tag being decoded, and offset() exposes it.
-class WireError : public std::runtime_error {
- public:
-  explicit WireError(const std::string& what, std::size_t offset = 0)
-      : std::runtime_error("shard wire: " + what), offset_(offset) {}
-
-  /// Byte offset into the blob at which parsing failed.
-  std::size_t offset() const { return offset_; }
-
- private:
-  std::size_t offset_ = 0;
-};
 
 /// "XCPA" as a little-endian u32 ('X' is the first byte on the wire).
 inline constexpr std::uint32_t kWireMagic = 0x41504358u;
@@ -72,7 +51,7 @@ inline constexpr std::uint16_t kWireMinVersion = 1;
 /// self-describing blob. Round-trips bit-exactly through parse_cell_accum.
 std::vector<std::uint8_t> serialize_cell_accum(const CellAccum& acc);
 
-/// Parses a serialize_cell_accum blob. Throws WireError on anything
+/// Parses a serialize_cell_accum blob. Throws support::ByteError on anything
 /// malformed; never exhibits UB on corrupt/truncated/version-bumped input.
 CellAccum parse_cell_accum(const std::uint8_t* data, std::size_t size);
 inline CellAccum parse_cell_accum(const std::vector<std::uint8_t>& blob) {

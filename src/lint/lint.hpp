@@ -116,11 +116,11 @@ struct Config {
       "src/net/node_runtime.cpp"};
   /// Encode/decode code: wire-safety rules apply here.
   std::vector<std::string> wire_scopes{
-      "src/net/wire.hpp", "src/net/wire.cpp", "src/exp/shard.hpp",
-      "src/exp/shard.cpp"};
-  /// Kind/record-kind switches outside the wire files proper.
-  std::vector<std::string> kind_switch_extra_scopes{
-      "src/net/wal.hpp", "src/net/wal.cpp", "src/consensus/notary.cpp"};
+      "src/support/bytes.hpp", "src/support/bytes.cpp", "src/net/wire.hpp",
+      "src/net/wire.cpp",      "src/exp/shard.hpp",     "src/exp/shard.cpp",
+      "src/net/wal.hpp",       "src/net/wal.cpp"};
+  /// Kind/record-kind switches outside the codec files proper.
+  std::vector<std::string> kind_switch_extra_scopes{"src/consensus/notary.cpp"};
   /// Steady-state hot functions: no allocation, period.
   std::vector<HotFunction> hot_functions{
       {"src/sim/event_queue.hpp", "push"},

@@ -393,7 +393,7 @@ void SocketTransport::send(const Message& m) {
   std::vector<std::uint8_t> payload;
   try {
     serialize_message(m, payload, opts_.wire);
-  } catch (const WireError&) {
+  } catch (const support::ByteError&) {
     ++stats_.sends_dropped;
     return;
   }
@@ -404,7 +404,7 @@ void SocketTransport::send(const Message& m) {
       ++stats_.messages_sent;
       ++stats_.messages_received;
       if (receive_) receive_(std::move(copy));
-    } catch (const WireError&) {
+    } catch (const support::ByteError&) {
       ++stats_.wire_rejects;
     }
     return;
@@ -492,7 +492,7 @@ bool SocketTransport::drain_frames(InConn& c, Clock::time_point now) {
         if (receive_) receive_(std::move(pf.message));
       }
     }
-  } catch (const WireError&) {
+  } catch (const support::ByteError&) {
     // A corrupting peer looks like a crashing one: count it, drop the
     // connection, keep the process alive.
     ++stats_.wire_rejects;

@@ -27,7 +27,7 @@
 //    (the protocol tolerates f such crashes); a peer that speaks again is
 //    resurrected (and redialled at once if it speaks with a Hello).
 //
-// Everything malformed on a connection raises/absorbs net::WireError and
+// Everything malformed on a connection raises/absorbs support::ByteError and
 // drops that connection (never the process): a byte-corrupting peer looks
 // like a crashing one.
 //
@@ -85,7 +85,7 @@ struct SocketTransportStats {
   std::uint64_t messages_received = 0;
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t heartbeats_received = 0;
-  std::uint64_t wire_rejects = 0;     // WireError on an inbound frame
+  std::uint64_t wire_rejects = 0;     // ByteError on an inbound frame
   std::uint64_t dial_attempts = 0;
   std::uint64_t reconnects = 0;       // dial attempts after the first
   std::uint64_t disconnects = 0;      // established connections lost

@@ -4,75 +4,47 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
+#include <span>
 
+#include "net/wire.hpp"
+#include "support/bytes.hpp"
 #include "support/hash.hpp"
 
 namespace xcp::net {
 namespace {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+using support::ByteError;
+using support::ByteReader;
+using support::ByteWriter;
+
+void put_header(ByteWriter& w) {
+  w.header(kWalMagic, kWalVersion);
+  w.u64(0);  // meta, reserved
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-/// Parses one record payload; returns false on anything malformed (the
-/// caller treats it as a torn/corrupt suffix and truncates).
-bool parse_payload(const std::uint8_t* p, std::size_t size, WalRecord& out) {
-  // u8 kind + u64 instance + u32 round + u8 value + u32 cert_len = 18 bytes.
-  constexpr std::size_t kFixed = 1 + 8 + 4 + 1 + 4;
-  if (size < kFixed) return false;
-  const std::uint8_t kind = p[0];
+/// Reads one framed record. Any ByteError means a torn or corrupt suffix,
+/// which the scan truncates.
+WalRecord read_record(ByteReader& r) {
+  const std::uint32_t len = r.u32();
+  const std::uint32_t crc = r.u32();
+  if (len > kMaxWalRecord) r.fail("record length over the cap");
+  ByteReader p = r.sub(len, "journal record");
+  if (crc32(p.remaining().data(), len) != crc) p.fail("CRC mismatch");
+  WalRecord out;
+  const std::size_t kind_at = p.offset();
+  const std::uint8_t kind = p.u8();
   if (kind < static_cast<std::uint8_t>(WalRecordKind::kPrevote) ||
       kind > static_cast<std::uint8_t>(WalRecordKind::kDecide)) {
-    return false;
+    p.fail_at(kind_at, "unknown record kind " + std::to_string(kind));
   }
   out.kind = static_cast<WalRecordKind>(kind);
-  out.instance = get_u64(p + 1);
-  out.round = static_cast<std::int32_t>(get_u32(p + 9));
-  out.value = p[13];
-  const std::uint32_t cert_len = get_u32(p + 14);
-  if (size != kFixed + cert_len) return false;  // short or trailing bytes
-  out.cert.assign(p + kFixed, p + kFixed + cert_len);
-  return true;
-}
-
-std::vector<std::uint8_t> encode_payload(const WalRecord& r) {
-  std::vector<std::uint8_t> p;
-  put_u8(p, static_cast<std::uint8_t>(r.kind));
-  put_u64(p, r.instance);
-  put_u32(p, static_cast<std::uint32_t>(r.round));
-  put_u8(p, r.value);
-  put_u32(p, static_cast<std::uint32_t>(r.cert.size()));
-  p.insert(p.end(), r.cert.begin(), r.cert.end());
-  return p;
+  out.instance = p.u64();
+  out.round = get_round(p, "round");
+  out.value = static_cast<std::uint8_t>(get_value(p));
+  const std::span<const std::uint8_t> cert = p.bytes(p.u32());
+  out.cert.assign(cert.begin(), cert.end());
+  p.expect_consumed();
+  return out;
 }
 
 void default_crash() { ::kill(::getpid(), SIGKILL); }
@@ -90,17 +62,25 @@ const char* wal_record_kind_name(WalRecordKind k) {
 }
 
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& r) {
-  const std::vector<std::uint8_t> payload = encode_payload(r);
-  if (payload.size() > kMaxWalRecord) {
-    throw WalError("record payload of " + std::to_string(payload.size()) +
+  std::vector<std::uint8_t> out;
+  out.reserve(8 + 18 + r.cert.size());
+  ByteWriter w(out);
+  w.u32(0);  // payload length, patched below
+  w.u32(0);  // payload CRC, patched below
+  w.u8(static_cast<std::uint8_t>(r.kind));
+  w.u64(r.instance);
+  w.i32(r.round);
+  w.u8(r.value);
+  w.u32(static_cast<std::uint32_t>(r.cert.size()));
+  w.bytes(r.cert.data(), r.cert.size());
+  const std::size_t len = out.size() - 8;
+  if (len > kMaxWalRecord) {
+    throw WalError("record payload of " + std::to_string(len) +
                    " bytes exceeds the " + std::to_string(kMaxWalRecord) +
                    "-byte cap");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  w.patch_u32(0, static_cast<std::uint32_t>(len));
+  w.patch_u32(4, crc32(out.data() + 8, len));
   return out;
 }
 
@@ -111,12 +91,8 @@ WriteAheadLog::WriteAheadLog(std::string path, WalOptions opts)
 
 void WriteAheadLog::write_header() {
   std::vector<std::uint8_t> h;
-  put_u32(h, kWalMagic);
-  h.push_back(kWalVersion & 0xff);
-  h.push_back(kWalVersion >> 8);
-  h.push_back(0);  // flags
-  h.push_back(0);
-  put_u64(h, 0);  // meta, reserved
+  ByteWriter w(h);
+  put_header(w);
   file_.append(h);
   if (opts_.sync) {
     file_.sync();
@@ -136,32 +112,23 @@ WalRecoverResult WriteAheadLog::scan(const std::vector<std::uint8_t>& bytes) {
     res.dropped_bytes = bytes.size();
     return res;
   }
-  if (get_u32(bytes.data()) != kWalMagic) {
-    throw WalError("bad magic — not a journal file");
+  ByteReader r(bytes.data(), bytes.size(), "journal header");
+  try {
+    r.header(kWalMagic, 1, kWalVersion);
+    (void)r.u64();  // meta, reserved
+  } catch (const ByteError& e) {
+    // Somebody else's file: refusing beats truncating it.
+    throw WalError(e.what());
   }
-  const std::uint16_t version = get_u16(bytes.data() + 4);
-  if (version == 0 || version > kWalVersion) {
-    throw WalError("unsupported journal version " + std::to_string(version));
-  }
-  if (get_u16(bytes.data() + 6) != 0) {
-    throw WalError("nonzero header flags");
-  }
-  res.valid_bytes = kWalHeaderBytes;
-  std::size_t off = kWalHeaderBytes;
-  while (off < bytes.size()) {
-    const std::size_t left = bytes.size() - off;
-    if (left < 8) break;  // torn length/CRC prefix
-    const std::uint32_t len = get_u32(bytes.data() + off);
-    const std::uint32_t crc = get_u32(bytes.data() + off + 4);
-    if (len > kMaxWalRecord) break;          // corrupt length
-    if (left - 8 < len) break;               // torn payload
-    const std::uint8_t* payload = bytes.data() + off + 8;
-    if (crc32(payload, len) != crc) break;   // corrupt payload
-    WalRecord r;
-    if (!parse_payload(payload, len, r)) break;  // structurally corrupt
-    res.records.push_back(std::move(r));
-    off += 8 + len;
-    res.valid_bytes = off;
+  res.valid_bytes = r.offset();
+  r.set_context("journal");
+  while (r.left() != 0) {
+    try {
+      res.records.push_back(read_record(r));
+    } catch (const ByteError&) {
+      break;  // torn or corrupt: this record and the rest are dropped
+    }
+    res.valid_bytes = r.offset();
   }
   if (res.valid_bytes < bytes.size()) {
     res.truncated = true;
@@ -218,12 +185,8 @@ void WriteAheadLog::append(const WalRecord& r) {
 void WriteAheadLog::compact(const std::vector<WalRecord>& snapshot) {
   if (!file_.is_open()) throw WalError("compact on a closed journal");
   std::vector<std::uint8_t> out;
-  put_u32(out, kWalMagic);
-  out.push_back(kWalVersion & 0xff);
-  out.push_back(kWalVersion >> 8);
-  out.push_back(0);
-  out.push_back(0);
-  put_u64(out, 0);
+  ByteWriter w(out);
+  put_header(w);
   for (const WalRecord& r : snapshot) {
     const auto framed = encode_wal_record(r);
     out.insert(out.end(), framed.begin(), framed.end());

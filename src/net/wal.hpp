@@ -7,28 +7,22 @@
 // equivocate against anything it already journaled (amnesia-safety;
 // consensus/notary.hpp `restore`).
 //
-// File layout, following the wire-format idiom (wire.hpp: fixed-width LE
-// fields, versioned magic header, CRC framing, total defensive parsers):
+// File layout, on the shared byte codec (support/bytes.hpp; docs/WIRE.md,
+// "Byte codec", has the grammar and the rejection taxonomy):
 //
 //   header   u32 magic "XCPJ" | u16 version | u16 flags(=0) | u64 meta
 //   record*  u32 payload_len | u32 crc32(payload) | payload
-//   payload  u8 kind | u64 instance | u32 round | u8 value
+//   payload  u8 kind | u64 instance | i32 round | u8 value
 //            | u32 cert_len | cert bytes (wire.hpp certificate blob)
 //
-// Recovery taxonomy (never UB, mirrors test_wire's rejection discipline):
-//  - missing / empty file          -> fresh journal, header written;
-//  - partial header                -> treated as a torn creation: truncated
-//                                     to empty and re-headered;
-//  - bad magic/version/flags       -> WalError: corrupt beyond recovery
-//                                     (somebody else's file — refusing to
-//                                     truncate it is the safe move);
-//  - torn tail (partial record)    -> truncate at the last whole record and
-//                                     continue appending;
-//  - corrupt record (CRC mismatch,
-//    bad kind, oversize, short or
-//    over-long payload)            -> same truncate-and-continue: the bad
-//                                     record and everything after it is
-//                                     dropped (suffix of a torn write).
+// Recovery: a missing or empty file is a fresh journal; a partial header
+// is a torn creation, truncated to empty and re-headered; a bad header
+// (magic, version, flags) is a WalError, because refusing to truncate
+// somebody else's file is the safe move. Any record the codec rejects —
+// torn, CRC mismatch, oversize, unknown kind, a value other than 0/1, a
+// negative round, short or over-long payload — is dropped together with
+// everything after it (the suffix of a torn write), and appending
+// continues from the last whole record.
 //
 // Compaction: compact() rewrites the journal as header + the given snapshot
 // records via support/durable_file.hpp atomic_replace (temp + fsync +
@@ -140,7 +134,7 @@ class WriteAheadLog {
 
   /// Opens (creating if missing), scans, and truncates any torn/corrupt
   /// tail so the file ends on a record boundary. Throws WalError only for
-  /// corruption that must not be silently repaired (foreign magic, future
+  /// a header that must not be silently repaired (foreign magic, future
   /// version, nonzero flags).
   WalRecoverResult open();
 

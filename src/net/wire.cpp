@@ -1,14 +1,17 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "chain/transaction.hpp"
 #include "consensus/messages.hpp"
 #include "proto/bodies.hpp"
 
 namespace xcp::net {
+
+using support::ByteError;
+using support::ByteReader;
+using support::ByteWriter;
+
 namespace {
 
 // Field caps: defensive upper bounds well above anything the protocols
@@ -19,190 +22,44 @@ constexpr std::size_t kMaxDetailString = 4096; // chain-event detail
 constexpr std::size_t kMaxStatements = 1024;
 constexpr std::size_t kMaxQuorumSigs = 1024;
 
-// ------------------------------------------------------------- LE writers
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s,
-             std::size_t cap, const char* field) {
-  if (s.size() > cap) {
-    throw WireError(std::string("cannot serialize ") + field + ": " +
-                        std::to_string(s.size()) + " bytes exceeds cap " +
-                        std::to_string(cap),
-                    out.size());
-  }
-  put_u16(out, static_cast<std::uint16_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-// ------------------------------------------------- bounds-checked reader
-
-/// Every read names its decode context and the byte offset into the frame;
-/// any shortfall or invalid value raises WireError carrying both (the same
-/// diagnostic shape as exp::WireError in the shard transport).
-struct Reader {
-  const std::uint8_t* base;
-  const std::uint8_t* p;
-  std::size_t left;
-  const char* what;
-
-  Reader(const std::uint8_t* data, std::size_t size, const char* context)
-      : base(data), p(data), left(size), what(context) {}
-
-  std::size_t offset() const { return static_cast<std::size_t>(p - base); }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw WireError(std::string(what) + ": " + msg + " at offset " +
-                        std::to_string(offset()),
-                    offset());
-  }
-
-  void need(std::size_t n) const {
-    if (left < n) {
-      fail("truncated: need " + std::to_string(n) + " byte(s), " +
-           std::to_string(left) + " left");
-    }
-  }
-
-  std::uint8_t u8() {
-    need(1);
-    const std::uint8_t v = *p;
-    ++p;
-    --left;
-    return v;
-  }
-
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(p[i]) << (8 * i);
-    p += 2;
-    left -= 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return v;
-  }
-
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-
-  std::string str(std::size_t cap, const char* field) {
-    const std::size_t at = offset();
-    const std::uint16_t n = u16();
-    if (n > cap) {
-      throw WireError(std::string(what) + ": " + field + " length " +
-                          std::to_string(n) + " exceeds cap " +
-                          std::to_string(cap) + " at offset " +
-                          std::to_string(at),
-                      at);
-    }
-    need(n);
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-
-  /// A flag byte that must be exactly 0 or 1.
-  bool flag(const char* field) {
-    const std::size_t at = offset();
-    const std::uint8_t v = u8();
-    if (v > 1) {
-      throw WireError(std::string(what) + ": " + field + " flag byte " +
-                          std::to_string(v) + " is not 0/1 at offset " +
-                          std::to_string(at),
-                      at);
-    }
-    return v == 1;
-  }
-
-  void expect_consumed() const {
-    if (left != 0) {
-      fail(std::to_string(left) + " trailing byte(s) after message");
-    }
-  }
-};
+/// Body-tag byte of the prologue (magic 4 | version 2 | flags 2 | kind 1).
+constexpr std::size_t kBodyTagOffset = 9;
 
 // -------------------------------------------------------- field encoders
 
-void put_signature(std::vector<std::uint8_t>& out, const crypto::Signature& s) {
-  put_u32(out, s.signer.value());
-  put_u64(out, s.mac);
+void put_signature(ByteWriter& w, const crypto::Signature& s) {
+  w.u32(s.signer.value());
+  w.u64(s.mac);
 }
 
-crypto::Signature get_signature(Reader& r) {
+crypto::Signature get_signature(ByteReader& r) {
   crypto::Signature s;
   s.signer = sim::ProcessId(r.u32());
   s.mac = r.u64();
   return s;
 }
 
-void put_amount(std::vector<std::uint8_t>& out, const Amount& a) {
-  put_i64(out, a.units());
-  put_u16(out, a.currency().id());
+void put_amount(ByteWriter& w, const Amount& a) {
+  w.i64(a.units());
+  w.u16(a.currency().id());
 }
 
-Amount get_amount(Reader& r) {
+Amount get_amount(ByteReader& r) {
   const std::int64_t units = r.i64();
   const std::uint16_t cur = r.u16();
   return Amount(units, Currency(cur));
 }
 
-void put_certificate(std::vector<std::uint8_t>& out,
-                     const crypto::Certificate& c, const WireContext& ctx) {
-  put_u8(out, static_cast<std::uint8_t>(c.kind));
-  put_u64(out, c.deal_id);
-  put_u32(out, c.issuer.value());
-  put_signature(out, c.signature);
+void put_certificate(ByteWriter& w, const crypto::Certificate& c,
+                     const WireContext& ctx) {
+  w.u8(static_cast<std::uint8_t>(c.kind));
+  w.u64(c.deal_id);
+  w.u32(c.issuer.value());
+  put_signature(w, c.signature);
+  w.u8(c.embedded_payment_sig ? 1 : 0);
   if (c.embedded_payment_sig) {
-    put_u8(out, 1);
-    put_u32(out, c.embedded_payment_issuer.value());
-    put_signature(out, *c.embedded_payment_sig);
-  } else {
-    put_u8(out, 0);
+    w.u32(c.embedded_payment_issuer.value());
+    put_signature(w, *c.embedded_payment_sig);
   }
   // Quorum signers: participation bitmap when a roster is in context and
   // covers every signer exactly once; explicit (signer, mac) list otherwise.
@@ -227,8 +84,8 @@ void put_certificate(std::vector<std::uint8_t>& out,
     }
   }
   if (bitmap_ok) {
-    put_u8(out, 1);
-    put_u64(out, bitmap);
+    w.u8(1);
+    w.u64(bitmap);
     // macs in roster index order, so the encoding is canonical regardless
     // of the in-memory vector order.
     for (std::size_t i = 0; i < ctx.roster->size(); ++i) {
@@ -236,38 +93,33 @@ void put_certificate(std::vector<std::uint8_t>& out,
       const sim::ProcessId member = (*ctx.roster)[i];
       for (const auto& sig : c.quorum) {
         if (sig.signer == member) {
-          put_u64(out, sig.mac);
+          w.u64(sig.mac);
           break;
         }
       }
     }
   } else {
     if (c.quorum.size() > kMaxQuorumSigs) {
-      throw WireError("cannot serialize quorum of " +
+      throw ByteError("cannot serialize quorum of " +
                           std::to_string(c.quorum.size()) +
                           " signatures (cap " +
                           std::to_string(kMaxQuorumSigs) + ")",
-                      out.size());
+                      w.size());
     }
-    put_u8(out, 0);
-    put_u16(out, static_cast<std::uint16_t>(c.quorum.size()));
-    for (const auto& sig : c.quorum) put_signature(out, sig);
+    w.u8(0);
+    w.u16(static_cast<std::uint16_t>(c.quorum.size()));
+    for (const auto& sig : c.quorum) put_signature(w, sig);
   }
 }
 
-crypto::Certificate get_certificate(Reader& r, const WireContext& ctx) {
+crypto::Certificate get_certificate(ByteReader& r, const WireContext& ctx) {
   crypto::Certificate c;
-  {
-    const std::size_t at = r.offset();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(crypto::CertKind::kAbort)) {
-      throw WireError(std::string(r.what) + ": unknown certificate kind " +
-                          std::to_string(kind) + " at offset " +
-                          std::to_string(at),
-                      at);
-    }
-    c.kind = static_cast<crypto::CertKind>(kind);
+  const std::size_t kind_at = r.offset();
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(crypto::CertKind::kAbort)) {
+    r.fail_at(kind_at, "unknown certificate kind " + std::to_string(kind));
   }
+  c.kind = static_cast<crypto::CertKind>(kind);
   c.deal_id = r.u64();
   c.issuer = sim::ProcessId(r.u32());
   c.signature = get_signature(r);
@@ -279,30 +131,21 @@ crypto::Certificate get_certificate(Reader& r, const WireContext& ctx) {
   if (r.flag("quorum-mode")) {
     // Participation bitmap form: requires the committee roster in context.
     if (ctx.roster == nullptr) {
-      throw WireError(std::string(r.what) +
-                          ": participation-bitmap certificate without a "
-                          "committee roster in context at offset " +
-                          std::to_string(mode_at),
-                      mode_at);
+      r.fail_at(mode_at,
+                "participation-bitmap certificate without a committee "
+                "roster in context");
     }
     if (ctx.roster->size() > 64) {
-      throw WireError(std::string(r.what) + ": roster of " +
-                          std::to_string(ctx.roster->size()) +
-                          " members exceeds the 64-bit participation bitmap "
-                          "at offset " +
-                          std::to_string(mode_at),
-                      mode_at);
+      r.fail_at(mode_at, "roster of " + std::to_string(ctx.roster->size()) +
+                             " members exceeds the 64-bit participation "
+                             "bitmap");
     }
     const std::size_t bits_at = r.offset();
     const std::uint64_t bitmap = r.u64();
-    if (ctx.roster->size() < 64 &&
-        (bitmap >> ctx.roster->size()) != 0) {
-      throw WireError(std::string(r.what) +
-                          ": participation bitmap has bits beyond the " +
-                          std::to_string(ctx.roster->size()) +
-                          "-member roster at offset " +
-                          std::to_string(bits_at),
-                      bits_at);
+    if (ctx.roster->size() < 64 && (bitmap >> ctx.roster->size()) != 0) {
+      r.fail_at(bits_at, "participation bitmap has bits beyond the " +
+                             std::to_string(ctx.roster->size()) +
+                             "-member roster");
     }
     for (std::size_t i = 0; i < ctx.roster->size(); ++i) {
       if (!(bitmap & (std::uint64_t{1} << i))) continue;
@@ -315,11 +158,9 @@ crypto::Certificate get_certificate(Reader& r, const WireContext& ctx) {
     const std::size_t count_at = r.offset();
     const std::uint16_t count = r.u16();
     if (count > kMaxQuorumSigs) {
-      throw WireError(std::string(r.what) + ": quorum signature count " +
-                          std::to_string(count) + " exceeds cap " +
-                          std::to_string(kMaxQuorumSigs) + " at offset " +
-                          std::to_string(count_at),
-                      count_at);
+      r.fail_at(count_at, "quorum signature count " + std::to_string(count) +
+                              " exceeds cap " +
+                              std::to_string(kMaxQuorumSigs));
     }
     c.quorum.reserve(count);
     for (std::uint16_t i = 0; i < count; ++i) {
@@ -329,16 +170,15 @@ crypto::Certificate get_certificate(Reader& r, const WireContext& ctx) {
   return c;
 }
 
-void put_statement(std::vector<std::uint8_t>& out,
-                   const consensus::SignedStatement& s) {
-  put_str(out, s.kind, kMaxShortString, "statement kind");
-  put_u64(out, s.deal_id);
-  put_u32(out, s.subject.value());
-  put_u64(out, s.detail);
-  put_signature(out, s.sig);
+void put_statement(ByteWriter& w, const consensus::SignedStatement& s) {
+  w.str(s.kind, kMaxShortString, "statement kind");
+  w.u64(s.deal_id);
+  w.u32(s.subject.value());
+  w.u64(s.detail);
+  put_signature(w, s.sig);
 }
 
-consensus::SignedStatement get_statement(Reader& r) {
+consensus::SignedStatement get_statement(ByteReader& r) {
   consensus::SignedStatement s;
   s.kind = r.str(kMaxShortString, "statement kind");
   s.deal_id = r.u64();
@@ -348,36 +188,29 @@ consensus::SignedStatement get_statement(Reader& r) {
   return s;
 }
 
-void put_justification(std::vector<std::uint8_t>& out,
-                       const consensus::Justification& j,
+void put_justification(ByteWriter& w, const consensus::Justification& j,
                        const WireContext& ctx) {
   if (j.statements.size() > kMaxStatements) {
-    throw WireError("cannot serialize justification with " +
+    throw ByteError("cannot serialize justification with " +
                         std::to_string(j.statements.size()) +
                         " statements (cap " + std::to_string(kMaxStatements) +
                         ")",
-                    out.size());
+                    w.size());
   }
-  put_u16(out, static_cast<std::uint16_t>(j.statements.size()));
-  for (const auto& s : j.statements) put_statement(out, s);
-  if (j.chi) {
-    put_u8(out, 1);
-    put_certificate(out, *j.chi, ctx);
-  } else {
-    put_u8(out, 0);
-  }
+  w.u16(static_cast<std::uint16_t>(j.statements.size()));
+  for (const auto& s : j.statements) put_statement(w, s);
+  w.u8(j.chi ? 1 : 0);
+  if (j.chi) put_certificate(w, *j.chi, ctx);
 }
 
-consensus::Justification get_justification(Reader& r, const WireContext& ctx) {
+consensus::Justification get_justification(ByteReader& r,
+                                           const WireContext& ctx) {
   consensus::Justification j;
   const std::size_t count_at = r.offset();
   const std::uint16_t count = r.u16();
   if (count > kMaxStatements) {
-    throw WireError(std::string(r.what) + ": statement count " +
-                        std::to_string(count) + " exceeds cap " +
-                        std::to_string(kMaxStatements) + " at offset " +
-                        std::to_string(count_at),
-                    count_at);
+    r.fail_at(count_at, "statement count " + std::to_string(count) +
+                            " exceeds cap " + std::to_string(kMaxStatements));
   }
   j.statements.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
@@ -387,26 +220,12 @@ consensus::Justification get_justification(Reader& r, const WireContext& ctx) {
   return j;
 }
 
-consensus::Value get_value(Reader& r) {
-  const std::size_t at = r.offset();
-  const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(consensus::Value::kAbort)) {
-    throw WireError(std::string(r.what) + ": unknown decision value " +
-                        std::to_string(v) + " at offset " + std::to_string(at),
-                    at);
-  }
-  return static_cast<consensus::Value>(v);
-}
-
-int get_round(Reader& r, const char* field) {
-  const std::size_t at = r.offset();
-  const std::int32_t v = r.i32();
-  if (v < 0) {
-    throw WireError(std::string(r.what) + ": negative " + field + " " +
-                        std::to_string(v) + " at offset " + std::to_string(at),
-                    at);
-  }
-  return v;
+/// An optional certificate: presence flag, then the certificate.
+void put_optional_cert(ByteWriter& w,
+                       const std::optional<crypto::Certificate>& c,
+                       const WireContext& ctx) {
+  w.u8(c ? 1 : 0);
+  if (c) put_certificate(w, *c, ctx);
 }
 
 // ----------------------------------------------------------- body codecs
@@ -432,115 +251,100 @@ WireBody body_tag_for(const MessageBody* b) {
   if (dynamic_cast<const chain::ChainEventMsg*>(b)) {
     return WireBody::kChainEvent;
   }
-  throw WireError("message body type has no wire encoding", 0);
+  throw ByteError("message body type has no wire encoding", 0);
 }
 
-void put_body(std::vector<std::uint8_t>& out, WireBody tag,
-              const MessageBody* b, const WireContext& ctx) {
+void put_body(ByteWriter& w, WireBody tag, const MessageBody* b,
+              const WireContext& ctx) {
   switch (tag) {
     case WireBody::kNone:
       return;
     case WireBody::kPromiseG: {
       const auto& g = static_cast<const proto::PromiseG&>(*b);
-      put_u64(out, g.deal_id);
-      put_i64(out, g.d.count());
-      put_amount(out, g.amount);
+      w.u64(g.deal_id);
+      w.i64(g.d.count());
+      put_amount(w, g.amount);
       return;
     }
     case WireBody::kPromiseP: {
       const auto& p = static_cast<const proto::PromiseP&>(*b);
-      put_u64(out, p.deal_id);
-      put_i64(out, p.a.count());
-      put_amount(out, p.amount);
+      w.u64(p.deal_id);
+      w.i64(p.a.count());
+      put_amount(w, p.amount);
       return;
     }
     case WireBody::kMoney: {
       const auto& m = static_cast<const proto::MoneyMsg&>(*b);
-      put_u64(out, m.deal_id);
-      put_u64(out, m.receipt);
-      put_amount(out, m.amount);
+      w.u64(m.deal_id);
+      w.u64(m.receipt);
+      put_amount(w, m.amount);
       return;
     }
     case WireBody::kCert: {
-      put_certificate(out, static_cast<const proto::CertMsg&>(*b).cert, ctx);
+      put_certificate(w, static_cast<const proto::CertMsg&>(*b).cert, ctx);
       return;
     }
     case WireBody::kReport: {
-      put_statement(out,
-                    static_cast<const consensus::ReportMsg&>(*b).statement);
+      put_statement(w, static_cast<const consensus::ReportMsg&>(*b).statement);
       return;
     }
     case WireBody::kProposal: {
       const auto& p = static_cast<const consensus::ProposalMsg&>(*b);
-      put_u64(out, p.instance);
-      put_i32(out, p.round);
-      put_u8(out, static_cast<std::uint8_t>(p.value));
-      put_justification(out, p.just, ctx);
-      put_signature(out, p.sig);
+      w.u64(p.instance);
+      w.i32(p.round);
+      w.u8(static_cast<std::uint8_t>(p.value));
+      put_justification(w, p.just, ctx);
+      put_signature(w, p.sig);
       return;
     }
     case WireBody::kVote: {
       const auto& v = static_cast<const consensus::VoteMsg&>(*b);
-      put_u64(out, v.instance);
-      put_i32(out, v.round);
-      put_u8(out, static_cast<std::uint8_t>(v.value));
-      put_u8(out, static_cast<std::uint8_t>(v.phase));
-      put_signature(out, v.sig);
+      w.u64(v.instance);
+      w.i32(v.round);
+      w.u8(static_cast<std::uint8_t>(v.value));
+      w.u8(static_cast<std::uint8_t>(v.phase));
+      put_signature(w, v.sig);
       return;
     }
     case WireBody::kNewRound: {
       const auto& nr = static_cast<const consensus::NewRoundMsg&>(*b);
-      put_u64(out, nr.instance);
-      put_i32(out, nr.round);
-      if (nr.locked) {
-        put_u8(out, 1);
-        put_u8(out, static_cast<std::uint8_t>(*nr.locked));
-      } else {
-        put_u8(out, 0);
-      }
-      put_i32(out, nr.lock_round);
+      w.u64(nr.instance);
+      w.i32(nr.round);
+      w.u8(nr.locked ? 1 : 0);
+      if (nr.locked) w.u8(static_cast<std::uint8_t>(*nr.locked));
+      w.i32(nr.lock_round);
       return;
     }
     case WireBody::kDecision: {
-      put_certificate(out, static_cast<const consensus::DecisionMsg&>(*b).cert,
+      put_certificate(w, static_cast<const consensus::DecisionMsg&>(*b).cert,
                       ctx);
       return;
     }
     case WireBody::kTx: {
       const auto& t = static_cast<const chain::TxMsg&>(*b).tx;
-      put_u32(out, t.sender.value());
-      put_str(out, t.contract, kMaxNameString, "tx contract");
-      put_str(out, t.op, kMaxNameString, "tx op");
-      put_u64(out, t.arg);
-      put_u64(out, t.arg2);
-      if (t.cert) {
-        put_u8(out, 1);
-        put_certificate(out, *t.cert, ctx);
-      } else {
-        put_u8(out, 0);
-      }
-      put_signature(out, t.sig);
+      w.u32(t.sender.value());
+      w.str(t.contract, kMaxNameString, "tx contract");
+      w.str(t.op, kMaxNameString, "tx op");
+      w.u64(t.arg);
+      w.u64(t.arg2);
+      put_optional_cert(w, t.cert, ctx);
+      put_signature(w, t.sig);
       return;
     }
     case WireBody::kChainEvent: {
       const auto& e = static_cast<const chain::ChainEventMsg&>(*b);
-      put_str(out, e.contract, kMaxNameString, "event contract");
-      put_str(out, e.topic, kMaxNameString, "event topic");
-      put_u64(out, e.block_height);
-      if (e.cert) {
-        put_u8(out, 1);
-        put_certificate(out, *e.cert, ctx);
-      } else {
-        put_u8(out, 0);
-      }
-      put_str(out, e.detail, kMaxDetailString, "event detail");
+      w.str(e.contract, kMaxNameString, "event contract");
+      w.str(e.topic, kMaxNameString, "event topic");
+      w.u64(e.block_height);
+      put_optional_cert(w, e.cert, ctx);
+      w.str(e.detail, kMaxDetailString, "event detail");
       return;
     }
   }
-  throw WireError("unreachable body tag", out.size());
+  throw ByteError("unreachable body tag", w.size());
 }
 
-BodyPtr get_body(Reader& r, WireBody tag, const WireContext& ctx) {
+BodyPtr get_body(ByteReader& r, WireBody tag, const WireContext& ctx) {
   switch (tag) {
     case WireBody::kNone:
       return nullptr;
@@ -589,18 +393,13 @@ BodyPtr get_body(Reader& r, WireBody tag, const WireContext& ctx) {
       v->instance = r.u64();
       v->round = get_round(r, "round");
       v->value = get_value(r);
-      {
-        const std::size_t at = r.offset();
-        const std::uint8_t phase = r.u8();
-        if (phase >
-            static_cast<std::uint8_t>(consensus::VoteMsg::Phase::kPrecommit)) {
-          throw WireError(std::string(r.what) + ": unknown vote phase " +
-                              std::to_string(phase) + " at offset " +
-                              std::to_string(at),
-                          at);
-        }
-        v->phase = static_cast<consensus::VoteMsg::Phase>(phase);
+      const std::size_t phase_at = r.offset();
+      const std::uint8_t phase = r.u8();
+      if (phase >
+          static_cast<std::uint8_t>(consensus::VoteMsg::Phase::kPrecommit)) {
+        r.fail_at(phase_at, "unknown vote phase " + std::to_string(phase));
       }
+      v->phase = static_cast<consensus::VoteMsg::Phase>(phase);
       v->sig = get_signature(r);
       return v;
     }
@@ -612,10 +411,8 @@ BodyPtr get_body(Reader& r, WireBody tag, const WireContext& ctx) {
       const std::size_t at = r.offset();
       nr->lock_round = r.i32();
       if (nr->lock_round < -1) {
-        throw WireError(std::string(r.what) + ": lock round " +
-                            std::to_string(nr->lock_round) +
-                            " below -1 at offset " + std::to_string(at),
-                        at);
+        r.fail_at(at, "lock round " + std::to_string(nr->lock_round) +
+                          " below -1");
       }
       return nr;
     }
@@ -645,11 +442,7 @@ BodyPtr get_body(Reader& r, WireBody tag, const WireContext& ctx) {
       return e;
     }
   }
-  const std::size_t at = r.offset();
-  throw WireError(std::string(r.what) + ": unknown body tag " +
-                      std::to_string(static_cast<std::uint32_t>(tag)) +
-                      " at offset " + std::to_string(at),
-                  at);
+  r.fail("unknown body tag " + std::to_string(static_cast<std::uint32_t>(tag)));
 }
 
 const char* body_context(WireBody tag) {
@@ -670,62 +463,21 @@ const char* body_context(WireBody tag) {
   return "message";
 }
 
-/// Common 12-byte prologue: magic, version, flags, kind tag, body tag,
-/// reserved. Returns (kind, body) after validating everything else.
+/// Common 12-byte prologue: the XCPM header, kind tag, body tag, reserved.
+/// Returns (kind, body) after validating everything else.
 struct Prologue {
   WireKind kind;
   std::uint8_t body_tag;
 };
 
-Prologue read_prologue(Reader& r) {
-  {
-    const std::size_t at = r.offset();
-    const std::uint32_t magic = r.u32();
-    if (magic != kWireMagic) {
-      throw WireError(std::string(r.what) + ": bad magic 0x" + [&] {
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "%08x", magic);
-        return std::string(buf);
-      }() + " at offset " + std::to_string(at),
-                      at);
-    }
-  }
-  {
-    const std::size_t at = r.offset();
-    const std::uint16_t version = r.u16();
-    if (version > kWireVersion || version < kWireMinVersion) {
-      throw WireError(std::string(r.what) + ": unsupported version " +
-                          std::to_string(version) + " (this build speaks " +
-                          std::to_string(kWireMinVersion) + ".." +
-                          std::to_string(kWireVersion) + ") at offset " +
-                          std::to_string(at),
-                      at);
-    }
-  }
-  {
-    const std::size_t at = r.offset();
-    const std::uint16_t flags = r.u16();
-    if (flags != 0) {
-      throw WireError(std::string(r.what) + ": nonzero flags 0x" +
-                          std::to_string(flags) + " at offset " +
-                          std::to_string(at),
-                      at);
-    }
-  }
+Prologue read_prologue(ByteReader& r) {
+  r.header(kWireMagic, kWireMinVersion, kWireVersion);
   Prologue pl;
   const std::size_t kind_at = r.offset();
   const std::uint8_t kind = r.u8();
   pl.body_tag = r.u8();
-  {
-    const std::size_t at = r.offset();
-    const std::uint16_t reserved = r.u16();
-    if (reserved != 0) {
-      throw WireError(std::string(r.what) + ": nonzero reserved field at "
-                          "offset " +
-                          std::to_string(at),
-                      at);
-    }
-  }
+  const std::size_t reserved_at = r.offset();
+  if (r.u16() != 0) r.fail_at(reserved_at, "nonzero reserved field");
   const bool known_protocol =
       kind >= 1 && kind <= static_cast<std::uint8_t>(WireKind::kBftDecision);
   const bool known_control =
@@ -733,37 +485,30 @@ Prologue read_prologue(Reader& r) {
       kind == static_cast<std::uint8_t>(WireKind::kHeartbeat) ||
       kind == static_cast<std::uint8_t>(WireKind::kCatchUp);
   if (!known_protocol && !known_control) {
-    throw WireError(std::string(r.what) + ": unknown kind tag " +
-                        std::to_string(kind) + " at offset " +
-                        std::to_string(kind_at),
-                    kind_at);
+    r.fail_at(kind_at, "unknown kind tag " + std::to_string(kind));
   }
   pl.kind = static_cast<WireKind>(kind);
   return pl;
 }
 
-void put_prologue(std::vector<std::uint8_t>& out, WireKind kind,
-                  WireBody body_tag) {
-  put_u32(out, kWireMagic);
-  put_u16(out, kWireVersion);
-  put_u16(out, 0);  // flags
-  put_u8(out, static_cast<std::uint8_t>(kind));
-  put_u8(out, static_cast<std::uint8_t>(body_tag));
-  put_u16(out, 0);  // reserved
+void put_prologue(ByteWriter& w, WireKind kind, WireBody body_tag) {
+  w.header(kWireMagic, kWireVersion);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u8(static_cast<std::uint8_t>(body_tag));
+  w.u16(0);  // reserved
 }
 
-Message parse_message_after_prologue(Reader& r, const Prologue& pl,
+Message parse_message_after_prologue(ByteReader& r, const Prologue& pl,
                                      const WireContext& ctx) {
   if (static_cast<std::uint8_t>(pl.kind) >= kControlBase) {
     r.fail("control frame where a protocol message was expected");
   }
   if (pl.body_tag > static_cast<std::uint8_t>(WireBody::kChainEvent)) {
-    throw WireError(std::string(r.what) + ": unknown body tag " +
-                        std::to_string(pl.body_tag) + " at offset 9",
-                    9);
+    r.fail_at(kBodyTagOffset,
+              "unknown body tag " + std::to_string(pl.body_tag));
   }
   const WireBody body_tag = static_cast<WireBody>(pl.body_tag);
-  r.what = body_context(body_tag);
+  r.set_context(body_context(body_tag));
   Message m;
   m.from = sim::ProcessId(r.u32());
   m.to = sim::ProcessId(r.u32());
@@ -774,7 +519,50 @@ Message parse_message_after_prologue(Reader& r, const Prologue& pl,
   return m;
 }
 
+/// The rest of a control frame once its prologue is read.
+ControlFrame parse_control_after_prologue(ByteReader& r, const Prologue& pl) {
+  if (pl.body_tag != 0) {
+    r.fail("control frame with nonzero body tag " +
+           std::to_string(pl.body_tag));
+  }
+  ControlFrame f;
+  f.kind = pl.kind;
+  f.a = r.u64();
+  f.b = r.u64();
+  r.expect_consumed();
+  return f;
+}
+
+void check_frame_size(std::size_t size, const char* what) {
+  if (size > kMaxWireFrame) {
+    throw ByteError(std::string(what) + " of " + std::to_string(size) +
+                        " bytes exceeds the " +
+                        std::to_string(kMaxWireFrame) + "-byte cap",
+                    0);
+  }
+}
+
 }  // namespace
+
+// --------------------------------------------------- shared field readers
+
+consensus::Value get_value(ByteReader& r) {
+  const std::size_t at = r.offset();
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(consensus::Value::kAbort)) {
+    r.fail_at(at, "unknown decision value " + std::to_string(v));
+  }
+  return static_cast<consensus::Value>(v);
+}
+
+std::int32_t get_round(ByteReader& r, const char* field) {
+  const std::size_t at = r.offset();
+  const std::int32_t v = r.i32();
+  if (v < 0) {
+    r.fail_at(at, std::string("negative ") + field + " " + std::to_string(v));
+  }
+  return v;
+}
 
 // ------------------------------------------------------------ kind tables
 
@@ -837,8 +625,7 @@ MsgKind msg_kind_of(WireKind w, std::size_t offset) {
     case WireKind::kCatchUp:
       break;
   }
-  throw WireError("kind tag " +
-                      std::to_string(static_cast<unsigned>(w)) +
+  throw ByteError("kind tag " + std::to_string(static_cast<unsigned>(w)) +
                       " is not a protocol message kind at offset " +
                       std::to_string(offset),
                   offset);
@@ -850,16 +637,17 @@ void serialize_message(const Message& m, std::vector<std::uint8_t>& out,
                        const WireContext& ctx) {
   const WireKind kind = wire_kind_of(m.kind);
   if (kind == WireKind::kInvalid) {
-    throw WireError("message kind \"" + m.kind.str() +
+    throw ByteError("message kind \"" + m.kind.str() +
                         "\" has no wire representation",
                     out.size());
   }
   const WireBody body_tag = body_tag_for(m.body.get());
-  put_prologue(out, kind, body_tag);
-  put_u32(out, m.from.value());
-  put_u32(out, m.to.value());
-  put_u64(out, m.id);
-  put_body(out, body_tag, m.body.get(), ctx);
+  ByteWriter w(out);
+  put_prologue(w, kind, body_tag);
+  w.u32(m.from.value());
+  w.u32(m.to.value());
+  w.u64(m.id);
+  put_body(w, body_tag, m.body.get(), ctx);
 }
 
 std::vector<std::uint8_t> serialize_message(const Message& m,
@@ -871,13 +659,8 @@ std::vector<std::uint8_t> serialize_message(const Message& m,
 
 Message parse_message(const std::uint8_t* data, std::size_t size,
                       const WireContext& ctx) {
-  if (size > kMaxWireFrame) {
-    throw WireError("frame of " + std::to_string(size) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxWireFrame) + "-byte cap",
-                    0);
-  }
-  Reader r(data, size, "message header");
+  check_frame_size(size, "frame");
+  ByteReader r(data, size, "message header");
   const Prologue pl = read_prologue(r);
   return parse_message_after_prologue(r, pl, ctx);
 }
@@ -886,59 +669,34 @@ Message parse_message(const std::uint8_t* data, std::size_t size,
 
 void serialize_control(const ControlFrame& f, std::vector<std::uint8_t>& out) {
   if (static_cast<std::uint8_t>(f.kind) < kControlBase) {
-    throw WireError("not a control kind", out.size());
+    throw ByteError("not a control kind", out.size());
   }
-  put_prologue(out, f.kind, WireBody::kNone);
-  put_u64(out, f.a);
-  put_u64(out, f.b);
+  ByteWriter w(out);
+  put_prologue(w, f.kind, WireBody::kNone);
+  w.u64(f.a);
+  w.u64(f.b);
 }
 
 ControlFrame parse_control(const std::uint8_t* data, std::size_t size) {
-  if (size > kMaxWireFrame) {
-    throw WireError("frame of " + std::to_string(size) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxWireFrame) + "-byte cap",
-                    0);
-  }
-  Reader r(data, size, "control frame");
+  check_frame_size(size, "frame");
+  ByteReader r(data, size, "control frame");
   const Prologue pl = read_prologue(r);
   if (static_cast<std::uint8_t>(pl.kind) < kControlBase) {
     r.fail("expected a control frame, got protocol kind " +
            std::to_string(static_cast<std::uint32_t>(pl.kind)));
   }
-  if (pl.body_tag != 0) {
-    r.fail("control frame with nonzero body tag " +
-           std::to_string(pl.body_tag));
-  }
-  ControlFrame f;
-  f.kind = pl.kind;
-  f.a = r.u64();
-  f.b = r.u64();
-  r.expect_consumed();
-  return f;
+  return parse_control_after_prologue(r, pl);
 }
 
 ParsedFrame parse_frame(const std::uint8_t* data, std::size_t size,
                         const WireContext& ctx) {
-  if (size > kMaxWireFrame) {
-    throw WireError("frame of " + std::to_string(size) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxWireFrame) + "-byte cap",
-                    0);
-  }
-  Reader r(data, size, "frame header");
+  check_frame_size(size, "frame");
+  ByteReader r(data, size, "frame header");
   const Prologue pl = read_prologue(r);
   ParsedFrame out;
   if (static_cast<std::uint8_t>(pl.kind) >= kControlBase) {
-    r.what = "control frame";
-    if (pl.body_tag != 0) {
-      r.fail("control frame with nonzero body tag " +
-             std::to_string(pl.body_tag));
-    }
-    out.control.kind = pl.kind;
-    out.control.a = r.u64();
-    out.control.b = r.u64();
-    r.expect_consumed();
+    r.set_context("control frame");
+    out.control = parse_control_after_prologue(r, pl);
     return out;
   }
   out.message = parse_message_after_prologue(r, pl, ctx);
@@ -950,49 +708,18 @@ ParsedFrame parse_frame(const std::uint8_t* data, std::size_t size,
 std::vector<std::uint8_t> serialize_certificate(const crypto::Certificate& c,
                                                 const WireContext& ctx) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kWireMagic);
-  put_u16(out, kWireVersion);
-  put_u16(out, 0);
-  put_certificate(out, c, ctx);
+  ByteWriter w(out);
+  w.header(kWireMagic, kWireVersion);
+  put_certificate(w, c, ctx);
   return out;
 }
 
 crypto::Certificate parse_certificate(const std::uint8_t* data,
                                       std::size_t size,
                                       const WireContext& ctx) {
-  if (size > kMaxWireFrame) {
-    throw WireError("certificate blob of " + std::to_string(size) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxWireFrame) + "-byte cap",
-                    0);
-  }
-  Reader r(data, size, "certificate");
-  {
-    const std::size_t at = r.offset();
-    if (r.u32() != kWireMagic) {
-      throw WireError(std::string("certificate: bad magic at offset ") +
-                          std::to_string(at),
-                      at);
-    }
-  }
-  {
-    const std::size_t at = r.offset();
-    const std::uint16_t version = r.u16();
-    if (version > kWireVersion || version < kWireMinVersion) {
-      throw WireError("certificate: unsupported version " +
-                          std::to_string(version) + " at offset " +
-                          std::to_string(at),
-                      at);
-    }
-  }
-  {
-    const std::size_t at = r.offset();
-    if (r.u16() != 0) {
-      throw WireError("certificate: nonzero flags at offset " +
-                          std::to_string(at),
-                      at);
-    }
-  }
+  check_frame_size(size, "certificate blob");
+  ByteReader r(data, size, "certificate");
+  r.header(kWireMagic, kWireMinVersion, kWireVersion);
   crypto::Certificate c = get_certificate(r, ctx);
   r.expect_consumed();
   return c;
@@ -1002,35 +729,29 @@ crypto::Certificate parse_certificate(const std::uint8_t* data,
 
 void append_stream_frame(std::vector<std::uint8_t>& stream,
                          const std::uint8_t* payload, std::size_t size) {
-  if (size > kMaxWireFrame) {
-    throw WireError("frame of " + std::to_string(size) +
-                        " bytes exceeds the " +
-                        std::to_string(kMaxWireFrame) + "-byte cap",
-                    0);
-  }
-  put_u32(stream, static_cast<std::uint32_t>(size));
-  stream.insert(stream.end(), payload, payload + size);
+  check_frame_size(size, "frame");
+  ByteWriter w(stream);
+  w.u32(static_cast<std::uint32_t>(size));
+  w.bytes(payload, size);
 }
 
 bool extract_stream_frame(std::span<const std::uint8_t> stream,
                           std::size_t& offset,
                           std::span<const std::uint8_t>& frame,
                           std::size_t max_frame) {
-  const std::span<const std::uint8_t> rest = stream.subspan(offset);
-  if (rest.size() < 4) return false;
-  std::uint32_t len = 0;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(rest[i]) << (8 * i);
-  }
+  ByteReader r(stream.data(), stream.size(), "stream");
+  (void)r.bytes(offset);  // frames the caller already took
+  if (r.left() < 4) return false;
+  const std::uint32_t len = r.u32();
   if (len > max_frame) {
-    throw WireError("stream announces a " + std::to_string(len) +
+    throw ByteError("stream announces a " + std::to_string(len) +
                         "-byte frame, over the " + std::to_string(max_frame) +
                         "-byte cap",
                     0);
   }
-  if (rest.size() < 4 + static_cast<std::size_t>(len)) return false;
-  frame = rest.subspan(4, len);
-  offset += 4 + static_cast<std::size_t>(len);
+  if (r.left() < len) return false;
+  frame = r.bytes(len);
+  offset = r.offset();
   return true;
 }
 

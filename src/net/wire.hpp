@@ -5,12 +5,13 @@
 //
 // Layout follows the production-consensus idiom (fixed-width little-endian
 // fields, uint8 message-type enums, versioned headers, participation
-// bitmaps for quorum certificates) and the framing idiom exp/shard.cpp
-// already established in-repo (magic + version header, typed WireError on
-// anything malformed). Design rules:
+// bitmaps for quorum certificates) on the shared byte codec
+// (support/bytes.hpp), which the shard blob and the journal use too.
+// Design rules:
 //
 //  - Every multi-byte integer is little-endian at a fixed width.
-//  - A frame starts with magic "XCPM", u16 version, u16 flags (must be 0).
+//  - A frame starts with the codec header: magic "XCPM", u16 version, u16
+//    flags (must be 0).
 //  - The message kind is a uint8 `WireKind` sharing the `net::MsgKind` id
 //    space (bijective with the well-known kinds; ad-hoc kinds are not
 //    wire-addressable by design — the wire surface is the protocol, not
@@ -21,8 +22,8 @@
 //    (signer, mac) list. Both forms parse with either context.
 //  - Parsers are total and defensive: truncated, corrupt, over-long,
 //    version-bumped, unknown-tag and trailing-byte input all raise
-//    net::WireError (with the byte offset and what was being decoded) —
-//    never UB, never partially-applied state.
+//    support::ByteError (with the byte offset and what was being decoded)
+//    — never UB, never partially-applied state.
 //
 // docs/WIRE.md carries the full grammar, versioning rules and rejection
 // taxonomy.
@@ -30,30 +31,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "crypto/certificate.hpp"
 #include "net/message.hpp"
+#include "support/bytes.hpp"
+
+namespace xcp::consensus {
+enum class Value : std::uint8_t;
+}
 
 namespace xcp::net {
-
-/// Typed parse/validation failure. Mirrors the diagnostic shape of
-/// exp::WireError: the what() string always names the decode context and
-/// the byte offset where decoding failed, e.g.
-///   "protocol wire: truncated VoteMsg: need 8 byte(s) at offset 23, 2 left"
-class WireError : public std::runtime_error {
- public:
-  WireError(const std::string& what, std::size_t offset)
-      : std::runtime_error("protocol wire: " + what), offset_(offset) {}
-
-  /// Byte offset into the frame at which decoding failed.
-  std::size_t offset() const { return offset_; }
-
- private:
-  std::size_t offset_ = 0;
-};
 
 // --------------------------------------------------------------- constants
 
@@ -145,7 +133,7 @@ enum class WireBody : std::uint8_t {
 /// wire representation (ad-hoc trace tags).
 WireKind wire_kind_of(MsgKind kind);
 
-/// Maps a wire tag back to the interned MsgKind. Throws WireError for
+/// Maps a wire tag back to the interned MsgKind. Throws ByteError for
 /// invalid/unknown/control tags (control frames are not protocol messages).
 MsgKind msg_kind_of(WireKind w, std::size_t offset = 0);
 
@@ -164,7 +152,7 @@ struct WireContext {
 // --------------------------------------------------------------- messages
 
 /// Serializes a protocol message (header + body) into `out` (appended).
-/// Throws WireError if the message kind has no wire tag or the body type
+/// Throws ByteError if the message kind has no wire tag or the body type
 /// is not serializable.
 void serialize_message(const Message& m, std::vector<std::uint8_t>& out,
                        const WireContext& ctx = {});
@@ -172,7 +160,7 @@ std::vector<std::uint8_t> serialize_message(const Message& m,
                                             const WireContext& ctx = {});
 
 /// Parses one complete frame. Rejects control frames (they are transport
-/// internals); every malformed input throws WireError. The returned
+/// internals); every malformed input throws ByteError. The returned
 /// message's id is the sender's id (transports re-stamp on injection).
 Message parse_message(const std::uint8_t* data, std::size_t size,
                       const WireContext& ctx = {});
@@ -193,7 +181,7 @@ struct ControlFrame {
 void serialize_control(const ControlFrame& f, std::vector<std::uint8_t>& out);
 
 /// Decodes a frame that must be a control frame (the inverse of
-/// serialize_control); throws WireError when the bytes carry a protocol
+/// serialize_control); throws ByteError when the bytes carry a protocol
 /// message instead. Transport code that accepts either uses parse_frame.
 ControlFrame parse_control(const std::uint8_t* data, std::size_t size);
 inline ControlFrame parse_control(const std::vector<std::uint8_t>& buf) {
@@ -225,10 +213,19 @@ inline crypto::Certificate parse_certificate(
   return parse_certificate(buf.data(), buf.size(), ctx);
 }
 
+// ----------------------------------------------------- shared field readers
+
+/// A decision value byte: 0 commit, 1 abort, anything else a ByteError.
+/// The journal reads its records' values through this too.
+consensus::Value get_value(support::ByteReader& r);
+
+/// A round number; a negative one is a ByteError naming `field`.
+std::int32_t get_round(support::ByteReader& r, const char* field);
+
 // ----------------------------------------------------------------- framing
 
 /// Appends a length-prefixed frame (u32 LE length, then payload) to a
-/// stream buffer. Throws WireError if payload exceeds kMaxWireFrame.
+/// stream buffer. Throws ByteError if payload exceeds kMaxWireFrame.
 void append_stream_frame(std::vector<std::uint8_t>& stream,
                          const std::uint8_t* payload, std::size_t size);
 
@@ -236,7 +233,7 @@ void append_stream_frame(std::vector<std::uint8_t>& stream,
 /// `frame` at its payload (a view into `stream`) and advances `offset` past
 /// it. Returns false when only a partial frame remains. Nothing is erased,
 /// so a reader drains every whole frame and then drops the consumed prefix
-/// [0, offset) once. Throws WireError when the announced length exceeds
+/// [0, offset) once. Throws ByteError when the announced length exceeds
 /// `max_frame` (stream is poisoned; callers drop the connection).
 bool extract_stream_frame(std::span<const std::uint8_t> stream,
                           std::size_t& offset,

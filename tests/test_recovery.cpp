@@ -159,6 +159,63 @@ TEST(Wal, RecordEncodingIsStable) {
   EXPECT_EQ(framed[8 + 13], 1u);  // value
 }
 
+// The byte-identity oracle for the journal file, pinned as hex: a header
+// plus one record of each kind, written both by append and by compaction.
+constexpr const char* kGoldenJournal =
+    "5843504a0100000000000000000000001200000088db6189010d000000000000"
+    "0002000000010000000012000000ea06e763020d000000000000000200000001"
+    "000000001e000000099950d1030d0000000000000002000000010c0000000126"
+    "4b7095badf04294e7398";
+
+std::vector<WalRecord> golden_records() {
+  return {sample_record(WalRecordKind::kPrevote, 2, 1),
+          sample_record(WalRecordKind::kPrecommit, 2, 1),
+          sample_record(WalRecordKind::kDecide, 2, 1, 12)};
+}
+
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(Wal, GoldenJournalIsWrittenByAppendAndByCompaction) {
+  TempDir dir;
+  const auto recs = golden_records();
+  {
+    WriteAheadLog wal(dir.file("appended.wal"));
+    (void)wal.open();
+    for (const WalRecord& r : recs) wal.append(r);
+  }
+  EXPECT_EQ(hex_of(read_bytes(dir.file("appended.wal"))), kGoldenJournal);
+  {
+    WriteAheadLog wal(dir.file("compacted.wal"));
+    (void)wal.open();
+    wal.append(sample_record(WalRecordKind::kPrevote, 0, 0));
+    wal.compact(recs);
+  }
+  EXPECT_EQ(hex_of(read_bytes(dir.file("compacted.wal"))), kGoldenJournal);
+}
+
+TEST(Wal, GoldenJournalScansBackToItsRecords) {
+  const WalRecoverResult res = WriteAheadLog::scan(from_hex(kGoldenJournal));
+  EXPECT_FALSE(res.truncated);
+  EXPECT_EQ(res.records, golden_records());
+}
+
 TEST(Wal, OversizeRecordIsRefusedAtEncode) {
   WalRecord r = sample_record(WalRecordKind::kDecide, 0, 0);
   r.cert.assign(net::kMaxWalRecord + 1, 0xab);
@@ -241,6 +298,30 @@ TEST(Wal, EverySingleByteCorruptionIsContained) {
     ASSERT_EQ(res.records.size(), hit) << "offset " << off;
     EXPECT_EQ(res.valid_bytes, bounds[hit]) << "offset " << off;
     for (std::size_t i = 0; i < hit; ++i) EXPECT_EQ(res.records[i], recs[i]);
+  }
+}
+
+TEST(Wal, CrcValidRecordsOutsideTheValueAndRoundRangeAreCorrupt) {
+  // The journal reads value and round with the wire's checks: a record
+  // whose CRC matches but whose value is not 0/1, or whose round is
+  // negative, is structurally corrupt — dropped with everything after it,
+  // exactly like a bad kind byte — instead of replaying as a vote.
+  const auto recs = sample_records();
+  for (const WalRecord& bad : {sample_record(WalRecordKind::kPrevote, 0, 9),
+                               sample_record(WalRecordKind::kDecide, -1, 0)}) {
+    auto bytes = journal_bytes({recs[0]});
+    const std::size_t valid = bytes.size();
+    const auto framed = net::encode_wal_record(bad);
+    bytes.insert(bytes.end(), framed.begin(), framed.end());
+    const auto tail = net::encode_wal_record(recs[1]);
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+
+    const WalRecoverResult res = WriteAheadLog::scan(bytes);
+    ASSERT_EQ(res.records.size(), 1u);
+    EXPECT_EQ(res.records[0], recs[0]);
+    EXPECT_TRUE(res.truncated);
+    EXPECT_EQ(res.valid_bytes, valid);
+    EXPECT_EQ(res.dropped_bytes, framed.size() + tail.size());
   }
 }
 

@@ -12,10 +12,13 @@
 #include "exp/dispatch.hpp"
 #include "exp/runner.hpp"
 #include "exp/shard.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 
 namespace xcp::exp {
 namespace {
+
+using support::ByteError;
 
 const std::vector<ProtocolKind> kAllProtocols{
     ProtocolKind::kUniversalNaive,    ProtocolKind::kTimeBounded,
@@ -171,29 +174,48 @@ TEST(ShardWire, TruncationsAreRejected) {
   // Every proper prefix must be a clean parse error — header cut short,
   // frame header cut short, payload cut short.
   for (std::size_t len = 0; len < blob.size(); ++len) {
-    EXPECT_THROW(parse_cell_accum(blob.data(), len), WireError) << len;
+    EXPECT_THROW(parse_cell_accum(blob.data(), len), ByteError) << len;
   }
 }
 
 TEST(ShardWire, CorruptionsAreRejectedOrParseable) {
   // Single-byte corruption anywhere must never be UB: it either still
-  // parses (a flipped counter bit) or throws WireError. Run the parse on
-  // every position to shake out bounds bugs; ASan/UBSan builds turn any
-  // miss into a crash.
+  // parses (a flipped counter bit) or throws ByteError. Run the parse on
+  // every position of both blob layouts to shake out bounds bugs; ASan/
+  // UBSan builds turn any miss into a crash. A blob that parses must be
+  // canonical: it re-serializes to exactly the bytes that were accepted,
+  // so no field (a meta flag byte, say) has two accepted encodings.
   Rng rng(4);
   CellAccum acc = random_accum(rng);
   if (acc.examples.empty()) {
     acc.examples.push_back({1, 0, "corruption target"});
   }
-  const std::vector<std::uint8_t> blob = serialize_cell_accum(acc);
-  for (std::size_t pos = 0; pos < blob.size(); ++pos) {
-    for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0xff}}) {
-      std::vector<std::uint8_t> bad = blob;
-      bad[pos] ^= flip;
-      try {
-        (void)parse_cell_accum(bad);
-      } catch (const WireError&) {
-        // expected for structural damage
+  ShardMeta meta;
+  meta.first_seed = 3;
+  meta.seed_count = 9;
+  meta.early_stop = false;
+  const std::vector<std::uint8_t> accum_blob = serialize_cell_accum(acc);
+  const std::vector<std::uint8_t> shard_blob = serialize_shard_blob(meta, acc);
+  for (const bool shard : {false, true}) {
+    const std::vector<std::uint8_t>& blob = shard ? shard_blob : accum_blob;
+    for (std::size_t pos = 0; pos < blob.size(); ++pos) {
+      for (const std::uint8_t flip :
+           {std::uint8_t{0x01}, std::uint8_t{0xff}}) {
+        std::vector<std::uint8_t> bad = blob;
+        bad[pos] ^= flip;
+        std::vector<std::uint8_t> again;
+        try {
+          if (shard) {
+            const ShardBlob parsed = parse_shard_blob(bad);
+            again = serialize_shard_blob(parsed.meta, parsed.accum);
+          } else {
+            again = serialize_cell_accum(parse_cell_accum(bad));
+          }
+        } catch (const ByteError&) {
+          continue;  // expected for structural damage
+        }
+        EXPECT_EQ(again, bad) << (shard ? "shard" : "accum") << " blob, byte "
+                              << pos << " ^ " << int{flip};
       }
     }
   }
@@ -204,24 +226,24 @@ TEST(ShardWire, VersionAndMagicAreEnforced) {
 
   std::vector<std::uint8_t> bad_magic = blob;
   bad_magic[0] ^= 0xff;
-  EXPECT_THROW(parse_cell_accum(bad_magic), WireError);
+  EXPECT_THROW(parse_cell_accum(bad_magic), ByteError);
 
   // Version bumped beyond the reader: deterministic rejection, not a
   // misparse (a v2 writer may have changed any field's meaning).
   std::vector<std::uint8_t> v_next = blob;
   v_next[4] = static_cast<std::uint8_t>(kWireVersion + 1);
-  EXPECT_THROW(parse_cell_accum(v_next), WireError);
+  EXPECT_THROW(parse_cell_accum(v_next), ByteError);
 
   // Version below the supported floor (0 is never valid).
   std::vector<std::uint8_t> v_zero = blob;
   v_zero[4] = 0;
   v_zero[5] = 0;
-  EXPECT_THROW(parse_cell_accum(v_zero), WireError);
+  EXPECT_THROW(parse_cell_accum(v_zero), ByteError);
 
   // Reserved header bytes must be zero.
   std::vector<std::uint8_t> reserved = blob;
   reserved[6] = 1;
-  EXPECT_THROW(parse_cell_accum(reserved), WireError);
+  EXPECT_THROW(parse_cell_accum(reserved), ByteError);
 }
 
 TEST(ShardWire, StructuralDamageIsRejected) {
@@ -230,23 +252,23 @@ TEST(ShardWire, StructuralDamageIsRejected) {
   // Trailing garbage after the last frame.
   std::vector<std::uint8_t> trailing = blob;
   trailing.push_back(0x7f);
-  EXPECT_THROW(parse_cell_accum(trailing), WireError);
+  EXPECT_THROW(parse_cell_accum(trailing), ByteError);
 
   // An unknown field tag (the meta tag is unknown to the bare-accum
   // parser; a wholly unassigned tag behaves the same).
   const std::vector<std::uint8_t> with_meta =
       serialize_shard_blob(ShardMeta{}, CellAccum{});
-  EXPECT_THROW(parse_cell_accum(with_meta), WireError);
+  EXPECT_THROW(parse_cell_accum(with_meta), ByteError);
 
   // A duplicated field: append a copy of the first frame (tag 1, u64).
   std::vector<std::uint8_t> dup = blob;
   dup.insert(dup.end(), blob.begin() + 8, blob.begin() + 8 + 2 + 4 + 8);
-  EXPECT_THROW(parse_cell_accum(dup), WireError);
+  EXPECT_THROW(parse_cell_accum(dup), ByteError);
 
   // A missing required field: drop the first frame entirely.
   std::vector<std::uint8_t> missing(blob.begin(), blob.begin() + 8);
   missing.insert(missing.end(), blob.begin() + 8 + 2 + 4 + 8, blob.end());
-  EXPECT_THROW(parse_cell_accum(missing), WireError);
+  EXPECT_THROW(parse_cell_accum(missing), ByteError);
 }
 
 TEST(ShardWire, InvalidExampleListsAreRejected) {
@@ -258,17 +280,17 @@ TEST(ShardWire, InvalidExampleListsAreRejected) {
   for (std::uint64_t i = 0; i < CellAccum::kMaxExamples + 1; ++i) {
     oversize.examples.push_back({i, 0, "x"});
   }
-  EXPECT_THROW(parse_cell_accum(serialize_cell_accum(oversize)), WireError);
+  EXPECT_THROW(parse_cell_accum(serialize_cell_accum(oversize)), ByteError);
 
   CellAccum unsorted;
   unsorted.examples.push_back({9, 0, "a"});
   unsorted.examples.push_back({3, 0, "b"});
-  EXPECT_THROW(parse_cell_accum(serialize_cell_accum(unsorted)), WireError);
+  EXPECT_THROW(parse_cell_accum(serialize_cell_accum(unsorted)), ByteError);
 
   CellAccum duplicate;
   duplicate.examples.push_back({3, 1, "a"});
   duplicate.examples.push_back({3, 1, "b"});
-  EXPECT_THROW(parse_cell_accum(serialize_cell_accum(duplicate)), WireError);
+  EXPECT_THROW(parse_cell_accum(serialize_cell_accum(duplicate)), ByteError);
 
   // Same seed with increasing ordinals is legal (one seed, two findings).
   CellAccum legal;
@@ -296,7 +318,82 @@ TEST(ShardWire, ShardBlobCarriesMeta) {
   expect_accums_identical(parsed.accum, acc);
 
   // The envelope parser requires the meta frame.
-  EXPECT_THROW(parse_shard_blob(serialize_cell_accum(acc)), WireError);
+  EXPECT_THROW(parse_shard_blob(serialize_cell_accum(acc)), ByteError);
+}
+
+// ----------------------------------------------------------- golden bytes
+//
+// The byte-identity oracle for both blob layouts, pinned as hex: each must
+// serialize to exactly its bytes and parse back to its value.
+
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+CellAccum golden_accum() {
+  CellAccum acc;
+  acc.safety_violations = 3;
+  acc.termination_failures = 1;
+  acc.liveness_failures = 0xffffffffffffffffull;
+  acc.early_stops = 42;
+  acc.decided_at_total = Duration::micros(-123456789);
+  acc.events_total = 1ull << 60;
+  acc.examples.push_back({5, 0, std::string("plain")});
+  acc.examples.push_back({5, 1, std::string("nul\0", 4)});
+  acc.examples.push_back({9, 2, std::string()});
+  return acc;
+}
+
+TEST(ShardGolden, AccumBlobSerializesToItsBytesAndParsesBack) {
+  const char* const kGolden =
+      "5843504101000000010008000000030000000000000002000800000001000000"
+      "00000000030008000000ffffffffffffffff0400080000002a00000000000000"
+      "050008000000eb32a4f8ffffffff060008000000000000000000001007003d00"
+      "00000300000005000000000000000000000005000000706c61696e0500000000"
+      "00000001000000040000006e756c0009000000000000000200000000000000";
+  const CellAccum acc = golden_accum();
+  EXPECT_EQ(hex_of(serialize_cell_accum(acc)), kGolden);
+  expect_accums_identical(parse_cell_accum(from_hex(kGolden)), acc);
+}
+
+TEST(ShardGolden, ShardBlobSerializesToItsBytesAndParsesBack) {
+  const char* const kGolden =
+      "584350410100000008001e000000050000000200000003000000110000000000"
+      "0000050000000000000001000100080000000100000000000000020008000000"
+      "0000000000000000030008000000000000000000000004000800000000000000"
+      "000000000500080000000000000000000000060008000000d103000000000000"
+      "07001a0000000100000012000000000000000000000006000000736166657479";
+  ShardMeta meta;
+  meta.protocol = ProtocolKind::kWeakCommittee;
+  meta.regime = Regime::kPartialSynchrony;
+  meta.n = 3;
+  meta.first_seed = 17;
+  meta.seed_count = 5;
+  meta.online = true;
+  meta.early_stop = false;
+  CellAccum acc;
+  acc.safety_violations = 1;
+  acc.events_total = 977;
+  acc.examples.push_back({18, 0, std::string("safety")});
+  EXPECT_EQ(hex_of(serialize_shard_blob(meta, acc)), kGolden);
+  const ShardBlob parsed = parse_shard_blob(from_hex(kGolden));
+  EXPECT_TRUE(parsed.meta == meta);
+  expect_accums_identical(parsed.accum, acc);
 }
 
 TEST(ShardWire, TokensRoundTrip) {
@@ -368,7 +465,7 @@ TEST(ShardPlan, ZeroSeedRangeYieldsAllEmptyShards) {
 }
 
 TEST(ShardWire, ErrorsCarryByteOffsetAndFrameContext) {
-  // Same diagnostic shape as net::WireError: what() names the byte offset
+  // The codec-wide diagnostic shape: what() names the byte offset
   // (and the frame being decoded where there is one), and offset() returns
   // it, so a dispatcher log line localizes the damage without a hexdump.
   Rng rng(11);
@@ -380,7 +477,7 @@ TEST(ShardWire, ErrorsCarryByteOffsetAndFrameContext) {
   try {
     parse_cell_accum(blob.data(), blob.size() - 1);
     FAIL() << "truncation not rejected";
-  } catch (const WireError& e) {
+  } catch (const ByteError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("at offset"), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(e.offset())), std::string::npos)
@@ -396,7 +493,7 @@ TEST(ShardWire, ErrorsCarryByteOffsetAndFrameContext) {
   try {
     parse_cell_accum(serialize_cell_accum(unsorted));
     FAIL() << "unsorted example list not rejected";
-  } catch (const WireError& e) {
+  } catch (const ByteError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("field tag"), std::string::npos) << what;
     EXPECT_NE(what.find("at offset"), std::string::npos) << what;
@@ -410,7 +507,7 @@ TEST(ShardWire, ErrorsCarryByteOffsetAndFrameContext) {
   try {
     parse_cell_accum(unknown);
     FAIL() << "unknown tag not rejected";
-  } catch (const WireError& e) {
+  } catch (const ByteError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown field tag 63"), std::string::npos) << what;
     EXPECT_NE(what.find("offset 8"), std::string::npos) << what;

@@ -1,10 +1,15 @@
-// Unit tests for the support layer: time, amounts, RNG, hashing, tables.
+// Unit tests for the support layer: time, amounts, RNG, hashing, the byte
+// codec, tables.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "support/amount.hpp"
+#include "support/bytes.hpp"
 #include "support/hash.hpp"
 #include "support/index_set.hpp"
 #include "support/rng.hpp"
@@ -221,6 +226,117 @@ TEST(Hash, HashWriterStreamsFnv1aOverTheCanonicalBytes) {
 }
 
 // ----------------------------------------------------------------- IndexSet
+
+// ---------------------------------------------------------------- ByteCodec
+
+using support::ByteError;
+using support::ByteReader;
+using support::ByteWriter;
+
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const ByteError& e) {
+    return std::string(e.what()) + " @" + std::to_string(e.offset());
+  }
+  return "no error";
+}
+
+TEST(ByteCodec, PrimitivesAreLittleEndianAndRoundTrip) {
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  w.header(0x41424344u, 3);
+  w.u8(0xab);
+  w.u16(0x0102);
+  w.u32(0x03040506u);
+  w.u64(0x0708090a0b0c0d0eull);
+  w.i32(-2);
+  w.i64(-3);
+  w.str("hi", 8, "greeting");
+  const std::size_t at = w.begin_frame(7);
+  w.u8(1);
+  w.end_frame(at);
+  const std::vector<std::uint8_t> want = {
+      0x44, 0x43, 0x42, 0x41, 3, 0, 0, 0,            // header
+      0xab, 0x02, 0x01, 0x06, 0x05, 0x04, 0x03,      // u8 u16 u32
+      0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07,  // u64
+      0xfe, 0xff, 0xff, 0xff,                        // i32 -2
+      0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64 -3
+      2, 0, 'h', 'i',                                // str
+      7, 0, 1, 0, 0, 0, 1};                          // frame
+  EXPECT_EQ(out, want);
+
+  ByteReader r(out.data(), out.size(), "test");
+  EXPECT_EQ(r.header(0x41424344u, 1, 3), 3);
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u16(), 0x0102);
+  EXPECT_EQ(r.u32(), 0x03040506u);
+  EXPECT_EQ(r.u64(), 0x0708090a0b0c0d0eull);
+  EXPECT_EQ(r.i32(), -2);
+  EXPECT_EQ(r.i64(), -3);
+  EXPECT_EQ(r.str(8, "greeting"), "hi");
+  EXPECT_EQ(r.u16(), 7);
+  ByteReader f = r.sub(r.u32(), "frame");
+  EXPECT_TRUE(f.flag("one"));
+  f.expect_consumed();
+  r.expect_consumed();
+}
+
+TEST(ByteCodec, EveryRejectionNamesContextAndAbsoluteOffset) {
+  const std::vector<std::uint8_t> b = {0x44, 0x43, 0x42, 0x41, 3, 0, 0, 0,
+                                       2,    5,    9,    0};
+  const auto read = [&](const std::function<void(ByteReader&)>& f) {
+    return error_of([&] {
+      ByteReader r(b.data(), b.size(), "ctx");
+      f(r);
+    });
+  };
+  EXPECT_EQ(read([](ByteReader& r) { r.header(0x41424345u, 1, 3); }),
+            "ctx: bad magic 0x41424344 at offset 0 @0");
+  EXPECT_EQ(read([](ByteReader& r) { r.header(0x41424344u, 1, 2); }),
+            "ctx: unsupported version 3 (this build speaks 1..2) at offset 4 @4");
+  EXPECT_EQ(read([](ByteReader& r) {
+              r.header(0x41424344u, 1, 3);
+              ByteReader f = r.sub(2, "inner");
+              (void)f.u8();
+              (void)f.flag("mode");
+            }),
+            "inner: mode flag byte 5 is not 0/1 at offset 9 @9");
+  EXPECT_EQ(read([](ByteReader& r) {
+              r.header(0x41424344u, 1, 3);
+              (void)r.str(1, "name");
+            }),
+            "ctx: name length 1282 exceeds cap 1 at offset 8 @8");
+  EXPECT_EQ(read([](ByteReader& r) {
+              r.header(0x41424344u, 1, 3);
+              (void)r.u64();
+            }),
+            "ctx: truncated: need 8 byte(s), 4 left at offset 8 @8");
+  EXPECT_EQ(read([](ByteReader& r) {
+              r.header(0x41424344u, 1, 3);
+              r.expect_consumed();
+            }),
+            "ctx: 4 trailing byte(s) at offset 8 @8");
+  std::vector<std::uint8_t> flagged = b;
+  flagged[6] = 1;
+  EXPECT_EQ(error_of([&] {
+              ByteReader r(flagged.data(), flagged.size(), "ctx");
+              r.header(0x41424344u, 1, 3);
+            }),
+            "ctx: nonzero flags 1 at offset 6 @6");
+
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  EXPECT_EQ(error_of([&] { w.str("abc", 2, "name"); }),
+            "cannot serialize name: 3 bytes exceeds cap 2 @0");
+}
+
+TEST(ByteCodec, WriterAppendsWithoutClearing) {
+  std::vector<std::uint8_t> out = {9};
+  ByteWriter w(out);
+  w.u16(1);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{9, 1, 0}));
+}
 
 TEST(IndexSet, AddReportsNewMembersInlineAndSpilled) {
   IndexSet s(64);

@@ -1,7 +1,7 @@
 // Wire-format tests and fuzz harness (net/wire.hpp): every protocol
 // message type must round-trip bit-exactly through serialize -> parse ->
 // serialize, and every single-byte corruption and every truncation of a
-// valid frame must either be rejected with net::WireError or parse to a
+// valid frame must either be rejected with support::ByteError or parse to a
 // valid message — never UB, never partial state (the asan-ubsan CI job
 // runs this suite under both sanitizers).
 
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chain/transaction.hpp"
@@ -24,6 +25,7 @@ namespace xcp::net {
 namespace {
 
 using Bytes = std::vector<std::uint8_t>;
+using support::ByteError;
 
 // ------------------------------------------------------------- fixtures
 
@@ -205,7 +207,7 @@ TEST(Wire, QuorumCertUsesBitmapWithRosterAndExplicitWithout) {
     EXPECT_TRUE(crypto::verify_quorum_cert(registry(), *c, members, 3));
   }
   // Bitmap form without the roster cannot be decoded.
-  EXPECT_THROW(parse_certificate(with, WireContext{}), WireError);
+  EXPECT_THROW(parse_certificate(with, WireContext{}), ByteError);
 }
 
 TEST(Wire, BitmapRejectsBitsBeyondRoster) {
@@ -223,7 +225,7 @@ TEST(Wire, BitmapRejectsBitsBeyondRoster) {
   try {
     parse_certificate(buf, roster_ctx(members));
     FAIL() << "bitmap overflow not rejected";
-  } catch (const WireError& e) {
+  } catch (const ByteError& e) {
     EXPECT_NE(std::string(e.what()).find("participation bitmap"),
               std::string::npos)
         << e.what();
@@ -243,7 +245,7 @@ TEST(Wire, RejectsVersionBumpMagicAndUnknownTags) {
     try {
       parse_message(b);
       FAIL() << "version bump not rejected";
-    } catch (const WireError& e) {
+    } catch (const ByteError& e) {
       EXPECT_NE(std::string(e.what()).find("unsupported version"),
                 std::string::npos);
       EXPECT_EQ(e.offset(), 4u);
@@ -252,7 +254,7 @@ TEST(Wire, RejectsVersionBumpMagicAndUnknownTags) {
   {  // bad magic
     Bytes b = buf;
     b[0] ^= 0x5a;
-    EXPECT_THROW(parse_message(b), WireError);
+    EXPECT_THROW(parse_message(b), ByteError);
   }
   {  // unknown kind tag
     Bytes b = buf;
@@ -260,7 +262,7 @@ TEST(Wire, RejectsVersionBumpMagicAndUnknownTags) {
     try {
       parse_message(b);
       FAIL() << "unknown kind not rejected";
-    } catch (const WireError& e) {
+    } catch (const ByteError& e) {
       EXPECT_NE(std::string(e.what()).find("unknown kind tag"),
                 std::string::npos);
     }
@@ -268,12 +270,12 @@ TEST(Wire, RejectsVersionBumpMagicAndUnknownTags) {
   {  // unknown body tag
     Bytes b = buf;
     b[9] = 99;
-    EXPECT_THROW(parse_message(b), WireError);
+    EXPECT_THROW(parse_message(b), ByteError);
   }
   {  // nonzero flags
     Bytes b = buf;
     b[6] = 1;
-    EXPECT_THROW(parse_message(b), WireError);
+    EXPECT_THROW(parse_message(b), ByteError);
   }
   {  // trailing bytes
     Bytes b = buf;
@@ -281,7 +283,7 @@ TEST(Wire, RejectsVersionBumpMagicAndUnknownTags) {
     try {
       parse_message(b);
       FAIL() << "trailing bytes not rejected";
-    } catch (const WireError& e) {
+    } catch (const ByteError& e) {
       EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos);
     }
   }
@@ -291,7 +293,7 @@ TEST(Wire, RejectsVersionBumpMagicAndUnknownTags) {
     hb.a = 7;
     Bytes b;
     serialize_control(hb, b);
-    EXPECT_THROW(parse_message(b), WireError);
+    EXPECT_THROW(parse_message(b), ByteError);
     const ParsedFrame pf = parse_frame(b.data(), b.size());
     ASSERT_TRUE(pf.is_control());
     EXPECT_EQ(pf.control.a, 7u);
@@ -318,7 +320,7 @@ TEST(Wire, ControlFramesRoundTripThroughParseControl) {
 TEST(Wire, ParseControlRejectsMessagesAndTruncation) {
   {  // a protocol message is not a control frame
     const Bytes b = serialize_message(corpus()[0]);
-    EXPECT_THROW(parse_control(b), WireError);
+    EXPECT_THROW(parse_control(b), ByteError);
   }
   ControlFrame hb;
   hb.kind = WireKind::kHeartbeat;
@@ -329,18 +331,18 @@ TEST(Wire, ParseControlRejectsMessagesAndTruncation) {
   {  // every truncation rejects
     for (std::size_t n = 0; n < b.size(); ++n) {
       Bytes cut(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(n));
-      EXPECT_THROW(parse_control(cut), WireError) << "length " << n;
+      EXPECT_THROW(parse_control(cut), ByteError) << "length " << n;
     }
   }
   {  // trailing bytes reject
     Bytes padded = b;
     padded.push_back(0);
-    EXPECT_THROW(parse_control(padded), WireError);
+    EXPECT_THROW(parse_control(padded), ByteError);
   }
 }
 
 TEST(Wire, ErrorsCarryByteOffsetInMessageAndAccessor) {
-  // The diagnostic contract shared with exp::WireError: the offset of the
+  // The codec-wide diagnostic contract: the offset of the
   // failure appears both in what() and via offset().
   Message m = corpus()[1];
   Bytes buf = serialize_message(m);
@@ -348,7 +350,7 @@ TEST(Wire, ErrorsCarryByteOffsetInMessageAndAccessor) {
   try {
     parse_message(buf);
     FAIL() << "truncation not rejected";
-  } catch (const WireError& e) {
+  } catch (const ByteError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("offset"), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(e.offset())), std::string::npos)
@@ -367,9 +369,9 @@ TEST(Wire, EveryTruncationRejectsCleanly) {
     for (std::size_t cut = 0; cut < buf.size(); ++cut) {
       Bytes b(buf.begin(), buf.begin() + cut);
       // Strict-prefix truncation can never parse: either a field read runs
-      // short or the trailing-bytes check fires. Anything but WireError
+      // short or the trailing-bytes check fires. Anything but ByteError
       // (UB, partial state, other exception types) fails the test.
-      EXPECT_THROW(parse_message(b, ctx), WireError)
+      EXPECT_THROW(parse_message(b, ctx), ByteError)
           << m.kind.str() << " truncated to " << cut << " bytes";
     }
   }
@@ -380,7 +382,7 @@ TEST(Wire, EverySingleByteCorruptionRejectsOrParsesCleanly) {
   const WireContext ctx = roster_ctx(members);
   // A corrupted byte may still yield a structurally valid message (e.g. a
   // flipped bit inside a mac); the invariant is no UB and no partial
-  // state — it either throws WireError or returns a message that
+  // state — it either throws ByteError or returns a message that
   // re-serializes within the same context.
   for (const Message& m : corpus()) {
     const Bytes buf = serialize_message(m, ctx);
@@ -392,7 +394,7 @@ TEST(Wire, EverySingleByteCorruptionRejectsOrParsesCleanly) {
           const Message parsed = parse_message(b, ctx);
           const Bytes re = serialize_message(parsed, ctx);
           EXPECT_FALSE(re.empty());
-        } catch (const WireError&) {
+        } catch (const ByteError&) {
           // clean rejection
         }
       }
@@ -401,7 +403,7 @@ TEST(Wire, EverySingleByteCorruptionRejectsOrParsesCleanly) {
 }
 
 TEST(Wire, RandomGarbageNeverParsesAsUB) {
-  // Deterministic xorshift garbage: every outcome must be WireError or a
+  // Deterministic xorshift garbage: every outcome must be ByteError or a
   // valid message (with 0x4d504358 magic required, almost always the
   // former).
   std::uint64_t state = 0x243f6a8885a308d3ULL;
@@ -417,7 +419,7 @@ TEST(Wire, RandomGarbageNeverParsesAsUB) {
     for (auto& byte : b) byte = static_cast<std::uint8_t>(next());
     try {
       (void)parse_message(b);
-    } catch (const WireError&) {
+    } catch (const ByteError&) {
     }
   }
 }
@@ -480,7 +482,191 @@ TEST(Wire, StreamFramingRejectsOversizeAnnouncement) {
   Bytes rx = {0xff, 0xff, 0xff, 0x7f};  // announces a ~2 GiB frame
   std::size_t off = 0;
   std::span<const std::uint8_t> frame;
-  EXPECT_THROW(extract_stream_frame(rx, off, frame), WireError);
+  EXPECT_THROW(extract_stream_frame(rx, off, frame), ByteError);
+}
+
+// ----------------------------------------------------------- golden bytes
+//
+// The byte-identity oracle: frames captured from the encoder and pinned as
+// hex. Each must serialize to exactly its bytes and parse back to its
+// value. A diff here is a wire-format change, never a refactor.
+
+std::string hex_of(const Bytes& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+Bytes from_hex(std::string_view hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+void expect_certs_equal(const crypto::Certificate& a,
+                        const crypto::Certificate& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.deal_id, b.deal_id);
+  EXPECT_EQ(a.issuer, b.issuer);
+  EXPECT_EQ(a.signature, b.signature);
+  EXPECT_EQ(a.quorum, b.quorum);
+  EXPECT_EQ(a.embedded_payment_sig, b.embedded_payment_sig);
+  EXPECT_EQ(a.embedded_payment_issuer, b.embedded_payment_issuer);
+}
+
+struct GoldenFrame {
+  const char* name;
+  std::size_t corpus_index;  // into corpus()
+  bool roster;               // serialize with the roster context
+  const char* hex;
+};
+
+// One frame per WireBody; the decision certificate in both quorum forms.
+const GoldenFrame kGoldenFrames[] = {
+    {"claim (no body)", 0, false,
+     "5843504d010000000c000000070000002a000000efcdab8967452301"},
+    {"PromiseG", 1, false,
+     "5843504d0100000001010000070000002a000000efcdab8967452301ffffffff"
+     "ffffffffffffffffffffffffd6ffffffffffffff0300"},
+    {"PromiseP", 2, false,
+     "5843504d0100000002020000070000002a000000efcdab89674523010d000000"
+     "0000000000a493d60000000040420f00000000000100"},
+    {"MoneyMsg", 3, false,
+     "5843504d0100000003030000070000002a000000efcdab89674523010d000000"
+     "00000000fecaefbeadde000005000000000000000000"},
+    {"CertMsg", 4, false,
+     "5843504d0100000004040000070000002a000000efcdab8967452301000d0000"
+     "00000000000200000002000000e4202aa81ee74a4900000000"},
+    {"ReportMsg", 6, false,
+     "5843504d0100000008050000070000002a000000efcdab896745230108006573"
+     "63726f7765640d00000000000000040000004d00000000000000040000007c1d"
+     "33ebfe21aac7"},
+    {"ProposalMsg", 7, false,
+     "5843504d010000000e060000070000002a000000efcdab89674523010d000000"
+     "00000000030000000002000800657363726f7765640d00000000000000040000"
+     "0000000000000000000400000052305a8f9ccb5d9f0800657363726f7765640d"
+     "000000000000000500000000000000000000000500000005b5c845d4f440b701"
+     "000d000000000000000200000002000000e4202aa81ee74a4900000000150000"
+     "00d5fb99e48cd7abc2"},
+    {"VoteMsg", 8, false,
+     "5843504d010000000f070000070000002a000000efcdab89674523010d000000"
+     "00000000000000000101160000006fe27c5d691a4fd1"},
+    {"NewRoundMsg", 9, false,
+     "5843504d0100000010080000070000002a000000efcdab89674523010d000000"
+     "0000000005000000010002000000"},
+    {"DecisionMsg bitmap", 11, true,
+     "5843504d0100000009090000070000002a000000efcdab8967452301010d0000"
+     "0000000000cdc62d00ffffffff0000000000000000010200000002000000e420"
+     "2aa81ee74a4901070000000000000075dcfba00cface8e8e8b96ee45c2bbb7b3"
+     "bec394273a02f4"},
+    {"DecisionMsg explicit", 11, false,
+     "5843504d0100000009090000070000002a000000efcdab8967452301010d0000"
+     "0000000000cdc62d00ffffffff0000000000000000010200000002000000e420"
+     "2aa81ee74a490003001500000075dcfba00cface8e160000008e8b96ee45c2bb"
+     "b717000000b3bec394273a02f4"},
+    {"TxMsg", 13, true,
+     "5843504d01000000050a0000070000002a000000efcdab896745230103000000"
+     "0800657363726f775f3107006465706f7369740d00000000000000f401000000"
+     "00000001010d00000000000000cdc62d00ffffffff0000000000000000010200"
+     "000002000000e4202aa81ee74a4901070000000000000075dcfba00cface8e8e"
+     "8b96ee45c2bbb7b3bec394273a02f403000000154bdfaa8d1fb6d3"},
+    {"ChainEventMsg", 14, true,
+     "5843504d01000000060b0000070000002a000000efcdab896745230108006573"
+     "63726f775f31060066756e646564df0300000000000001020d00000000000000"
+     "cdc62d00ffffffff000000000000000000010700000000000000e2d91c0c8730"
+     "8475002b00e7808433fcd615bd20ee05967d1c006465616c2031332066756e64"
+     "65642061742068656967687420393931"},
+};
+
+TEST(WireGolden, EveryBodyTypeSerializesToItsBytesAndParsesBack) {
+  const auto members = roster();
+  const auto msgs = corpus();
+  std::vector<bool> body_seen(12, false);
+  for (const GoldenFrame& g : kGoldenFrames) {
+    const WireContext ctx = g.roster ? roster_ctx(members) : WireContext{};
+    const Message& m = msgs[g.corpus_index];
+    EXPECT_EQ(hex_of(serialize_message(m, ctx)), g.hex) << g.name;
+    const Bytes golden = from_hex(g.hex);
+    ASSERT_GT(golden.size(), 9u) << g.name;
+    body_seen.at(golden[9]) = true;
+    // Bodies have no operator==: every field is encoded, so a parse that
+    // re-serializes to the golden bytes carries the original value.
+    const Message parsed = parse_message(golden, ctx);
+    EXPECT_EQ(parsed.id, m.id) << g.name;
+    EXPECT_EQ(parsed.from, m.from) << g.name;
+    EXPECT_EQ(parsed.to, m.to) << g.name;
+    EXPECT_EQ(parsed.kind, m.kind) << g.name;
+    EXPECT_EQ(hex_of(serialize_message(parsed, ctx)), g.hex) << g.name;
+  }
+  for (std::size_t tag = 0; tag < body_seen.size(); ++tag) {
+    EXPECT_TRUE(body_seen[tag]) << "no golden for body tag " << tag;
+  }
+}
+
+TEST(WireGolden, ControlFramesSerializeToTheirBytesAndParseBack) {
+  struct Golden {
+    ControlFrame frame;
+    const char* hex;
+  };
+  const Golden goldens[] = {
+      {{WireKind::kHello, 3, hello_status_word(2, true)},
+       "5843504d01000000f000000003000000000000000201000000000000"},
+      {{WireKind::kHeartbeat, 7, 0},
+       "5843504d01000000f100000007000000000000000000000000000000"},
+      {{WireKind::kCatchUp, 13, hello_status_word(1, false)},
+       "5843504d01000000f20000000d000000000000000100000000000000"},
+  };
+  for (const Golden& g : goldens) {
+    Bytes out;
+    serialize_control(g.frame, out);
+    EXPECT_EQ(hex_of(out), g.hex);
+    const ControlFrame back = parse_control(from_hex(g.hex));
+    EXPECT_EQ(back.kind, g.frame.kind);
+    EXPECT_EQ(back.a, g.frame.a);
+    EXPECT_EQ(back.b, g.frame.b);
+  }
+}
+
+TEST(WireGolden, StandaloneCertificateAndStreamFrame) {
+  const auto members = roster();
+  const crypto::Certificate cert = quorum_cert(true);
+  const char* const kBitmap =
+      "5843504d01000000010d00000000000000cdc62d00ffffffff00000000000000"
+      "00010200000002000000e4202aa81ee74a4901070000000000000075dcfba00c"
+      "face8e8e8b96ee45c2bbb7b3bec394273a02f4";
+  const char* const kExplicit =
+      "5843504d01000000010d00000000000000cdc62d00ffffffff00000000000000"
+      "00010200000002000000e4202aa81ee74a490003001500000075dcfba00cface"
+      "8e160000008e8b96ee45c2bbb717000000b3bec394273a02f4";
+  EXPECT_EQ(hex_of(serialize_certificate(cert, roster_ctx(members))), kBitmap);
+  EXPECT_EQ(hex_of(serialize_certificate(cert)), kExplicit);
+  expect_certs_equal(parse_certificate(from_hex(kBitmap), roster_ctx(members)),
+                     cert);
+  expect_certs_equal(parse_certificate(from_hex(kExplicit)), cert);
+
+  ControlFrame hb;
+  hb.kind = WireKind::kHeartbeat;
+  hb.a = 7;
+  Bytes payload;
+  serialize_control(hb, payload);
+  Bytes stream;
+  append_stream_frame(stream, payload.data(), payload.size());
+  const char* const kStream =
+      "1c0000005843504d01000000f100000007000000000000000000000000000000";
+  EXPECT_EQ(hex_of(stream), kStream);
+  const Bytes golden = from_hex(kStream);
+  std::size_t off = 0;
+  std::span<const std::uint8_t> frame;
+  ASSERT_TRUE(extract_stream_frame(golden, off, frame));
+  EXPECT_EQ(off, golden.size());
+  EXPECT_EQ(Bytes(frame.begin(), frame.end()), payload);
 }
 
 }  // namespace

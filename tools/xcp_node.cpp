@@ -74,6 +74,7 @@
 #include "net/socket_transport.hpp"
 #include "net/wal.hpp"
 #include "net/wire.hpp"
+#include "support/bytes.hpp"
 
 namespace {
 
@@ -501,7 +502,7 @@ int main(int argc, char** argv) {
   } catch (const net::WalError& e) {
     std::fprintf(stderr, "xcp_node: %s\n", e.what());
     return net::node_exit::kJournalCorrupt;
-  } catch (const net::WireError& e) {
+  } catch (const support::ByteError& e) {
     std::fprintf(stderr, "xcp_node: %s\n", e.what());
     return net::node_exit::kWireError;
   } catch (const std::exception& e) {

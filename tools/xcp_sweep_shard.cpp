@@ -35,6 +35,7 @@
 #include "exp/dispatch.hpp"
 #include "exp/runner.hpp"
 #include "exp/shard.hpp"
+#include "support/bytes.hpp"
 
 namespace {
 
@@ -323,7 +324,7 @@ int main(int argc, char** argv) {
       }
       if (std::fflush(stdout) != 0) return kShortWrite;
     }
-  } catch (const exp::WireError& e) {
+  } catch (const support::ByteError& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return kWireError;
   } catch (const std::exception& e) {
