@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "props/checkers.hpp"
-#include "proto/weak/multi.hpp"
+#include "proto/weak/protocol.hpp"
 
 int main() {
   using namespace xcp;

@@ -10,6 +10,18 @@
 
 namespace xcp::consensus {
 
+/// Key-registry salt of a single weak-protocol deal: the in-sim weak
+/// runner and every process of a standalone committee derive their keys
+/// from KeyRegistry(seed ^ kWeakKeySalt), so they verify each other's
+/// signatures.
+inline constexpr std::uint64_t kWeakKeySalt = 0xc0ffee1234ULL;
+
+/// The committee's collective identity for one deal: the issuer of its
+/// quorum certificates.
+inline sim::ProcessId committee_identity_for(std::uint64_t deal_id) {
+  return sim::ProcessId(3'000'000u + static_cast<std::uint32_t>(deal_id));
+}
+
 /// Application validity: which (value, justification) pairs a correct notary
 /// accepts. For the payment TM:
 ///  - commit requires Bob's valid chi for the deal plus a valid "escrowed"

@@ -22,10 +22,10 @@ std::vector<sim::ProcessId> StandaloneCommittee::participant_pids() const {
 }
 
 crypto::KeyRegistry StandaloneCommittee::make_keys() const {
-  // Same derivation as the weak-protocol runner. Registration order is
-  // part of the key material (identity.cpp advances its seed state per
-  // first-sight registration), so this canonical order is load-bearing.
-  crypto::KeyRegistry keys(seed ^ 0xc0ffee1234ULL);
+  // Registration order is part of the key material (identity.cpp advances
+  // its seed state per first-sight registration), so this canonical order
+  // is load-bearing.
+  crypto::KeyRegistry keys(seed ^ kWeakKeySalt);
   for (int i = 0; i < participant_count(); ++i) {
     keys.signer_for(sim::ProcessId(static_cast<std::uint32_t>(i)));
   }

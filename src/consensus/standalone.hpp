@@ -12,7 +12,7 @@
 // Process-id layout (mirrors proto/weak's run_weak so the pids read the
 // same in traces): customers c_0..c_n at pids 0..n (Bob = c_n, the last
 // customer), escrows e_0..e_{n-1} at pids n+1..2n, notaries at pids
-// 2n+1..2n+m. The committee identity is ProcessId(3'000'000 + deal_id).
+// 2n+1..2n+m. The committee identity is committee_identity_for(deal_id).
 //
 // KeyRegistry caveat: secrets depend on the order of first-sight
 // registration (crypto/identity.cpp), so make_keys() registers every
@@ -53,7 +53,7 @@ struct StandaloneCommittee {
     return sim::ProcessId(static_cast<std::uint32_t>(2 * n + 1 + i));
   }
   sim::ProcessId committee_identity() const {
-    return sim::ProcessId(3'000'000u + static_cast<std::uint32_t>(deal_id));
+    return committee_identity_for(deal_id);
   }
   std::vector<sim::ProcessId> notary_pids() const;
   std::vector<sim::ProcessId> participant_pids() const;

@@ -6,7 +6,6 @@
 
 #include "chain/blockchain.hpp"
 #include "ledger/ledger.hpp"
-#include "net/delay_model.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "support/status.hpp"
@@ -155,30 +154,13 @@ class CertifiedParty final : public net::Actor {
   bool done_ = false;
 };
 
-std::unique_ptr<net::DelayModel> make_model(const proto::EnvironmentConfig& env) {
-  using proto::SynchronyKind;
-  switch (env.synchrony) {
-    case SynchronyKind::kSynchronous:
-      return std::make_unique<net::SynchronousModel>(env.delta_min,
-                                                     env.delta_max);
-    case SynchronyKind::kPartiallySynchronous:
-      return std::make_unique<net::PartialSynchronyModel>(
-          env.gst, env.delta_max, env.pre_gst_typical);
-    case SynchronyKind::kAsynchronous:
-      return std::make_unique<net::AsynchronousModel>(env.async_typical,
-                                                      env.async_cap);
-  }
-  XCP_REQUIRE(false, "unreachable");
-  return nullptr;
-}
-
 }  // namespace
 
 CertifiedDealResult run_certified_deal(const CertifiedDealConfig& config) {
   CertifiedDealResult result;
 
   sim::Simulator simulator(config.seed);
-  net::Network network(simulator, make_model(config.env));
+  net::Network network(simulator, proto::make_delay_model(config.env));
   ledger::Ledger ledger;
   crypto::KeyRegistry keys(config.seed ^ 0xcafef00dULL);
 

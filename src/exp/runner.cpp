@@ -61,7 +61,7 @@ proto::AdversaryFactory chi_griefing_adversary(TimePoint release) {
 
 proto::RunRecord run_time_bounded_family(ProtocolKind protocol, Regime regime,
                                          int n, std::uint64_t seed,
-                                         props::OnlineOptions online = {}) {
+                                         props::OnlineOptions online) {
   proto::TimeBoundedConfig cfg = thm1_config(n, seed);
   cfg.online = online;
   cfg.compensated = protocol == ProtocolKind::kTimeBounded;
@@ -95,7 +95,7 @@ proto::RunRecord run_time_bounded_family(ProtocolKind protocol, Regime regime,
 
 proto::RunRecord run_weak_family(ProtocolKind protocol, Regime regime, int n,
                                  std::uint64_t seed,
-                                 props::OnlineOptions online = {}) {
+                                 props::OnlineOptions online) {
   using proto::weak::TmKind;
   TmKind tm = TmKind::kTrustedParty;
   if (protocol == ProtocolKind::kWeakContract) tm = TmKind::kSmartContract;
@@ -290,6 +290,14 @@ void CellAccum::merge(CellAccum&& o) {
   examples = std::move(merged);
 }
 
+proto::RunRecord run_cell_seed(ProtocolKind protocol, Regime regime, int n,
+                               std::uint64_t seed,
+                               props::OnlineOptions online) {
+  return is_weak_family(protocol)
+             ? run_weak_family(protocol, regime, n, seed, online)
+             : run_time_bounded_family(protocol, regime, n, seed, online);
+}
+
 MatrixCell cell_from_accum(ProtocolKind protocol, Regime regime,
                            std::size_t runs, CellAccum&& acc) {
   MatrixCell cell;
@@ -320,12 +328,8 @@ CellAccum run_matrix_cell_accum(ProtocolKind protocol, Regime regime, int n,
   // at its deciding event.
   return sweep_accumulate<CellAccum>(
       first_seed, seeds, [&](std::uint64_t seed, CellAccum& a) {
-        const proto::RunRecord record =
-            weak_family
-                ? run_weak_family(protocol, regime, n, seed, opts.online)
-                : run_time_bounded_family(protocol, regime, n, seed,
-                                          opts.online);
-        fold_record(record, weak_family, seed, a);
+        fold_record(run_cell_seed(protocol, regime, n, seed, opts.online),
+                    weak_family, seed, a);
       });
 }
 
@@ -350,13 +354,9 @@ MatrixCell run_matrix_cell_differential(ProtocolKind protocol, Regime regime,
         const props::OnlineOptions watch{/*enabled=*/true,
                                          /*early_stop=*/false};
         const proto::RunRecord stopped =
-            weak_family ? run_weak_family(protocol, regime, n, seed, stop)
-                        : run_time_bounded_family(protocol, regime, n, seed,
-                                                  stop);
+            run_cell_seed(protocol, regime, n, seed, stop);
         const proto::RunRecord full =
-            weak_family ? run_weak_family(protocol, regime, n, seed, watch)
-                        : run_time_bounded_family(protocol, regime, n, seed,
-                                                  watch);
+            run_cell_seed(protocol, regime, n, seed, watch);
 
         // The full run's live verdicts vs its own post-mortem forms.
         require_verdicts_match(full.online, full, weak_family, seed);
@@ -410,8 +410,7 @@ MatrixCell run_matrix_cell_buffered(ProtocolKind protocol, Regime regime,
   const bool weak_family = is_weak_family(protocol);
 
   const auto one = [&](std::uint64_t seed) {
-    return weak_family ? run_weak_family(protocol, regime, n, seed)
-                       : run_time_bounded_family(protocol, regime, n, seed);
+    return run_cell_seed(protocol, regime, n, seed);
   };
   const auto records = parallel_sweep<proto::RunRecord>(first_seed, seeds, one);
 

@@ -111,6 +111,13 @@ CellAccum run_matrix_cell_accum(ProtocolKind protocol, Regime regime, int n,
                                 std::uint64_t first_seed = 1,
                                 const CellOptions& opts = {});
 
+/// One seed of a cell: `protocol` under `regime`'s preset (chain length
+/// n), with the given online options. Every matrix path runs its seeds
+/// through this.
+proto::RunRecord run_cell_seed(ProtocolKind protocol, Regime regime, int n,
+                               std::uint64_t seed,
+                               props::OnlineOptions online = {});
+
 /// Assembles the returned MatrixCell from a merged accumulator — the one
 /// place the accumulator's fields map onto the cell's, shared by the
 /// streaming, differential and distributed paths. `runs` is the total seed
@@ -132,7 +139,7 @@ MatrixCell run_matrix_cell(ProtocolKind protocol, Regime regime, int n,
                            const CellOptions& opts = {});
 
 /// The pre-streaming implementation: buffers every seed's whole RunRecord
-/// (trace included) before checking, always to the full horizon. Kept as
+/// (trace included) before checking, with no monitor attached. Kept as
 /// the A/B twin for peak-RSS measurements and as the reference side of the
 /// streaming differential test; produces byte-identical verdict counters.
 MatrixCell run_matrix_cell_buffered(ProtocolKind protocol, Regime regime,

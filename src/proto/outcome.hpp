@@ -22,7 +22,6 @@ struct ParticipantOutcome {
   std::string role;            // alice / bob / chloe_i / escrow_i / tm / ...
   bool abiding = true;         // false if assigned a Byzantine strategy
   bool is_escrow = false;
-  int index = 0;               // c_i or e_i index
 
   bool terminated = false;     // reached a final state
   TimePoint terminated_local;  // on its own clock

@@ -2,206 +2,99 @@
 
 #include <memory>
 
-#include <optional>
-
 #include "anta/interpreter.hpp"
-#include "crypto/certificate.hpp"
-#include "net/delay_model.hpp"
-#include "net/network.hpp"
 #include "proto/figure2.hpp"
-#include "props/online.hpp"
-#include "sim/simulator.hpp"
-#include "support/status.hpp"
 
 namespace xcp::proto {
 
-const char* synchrony_name(SynchronyKind k) {
-  switch (k) {
-    case SynchronyKind::kSynchronous: return "synchronous";
-    case SynchronyKind::kPartiallySynchronous: return "partially-synchronous";
-    case SynchronyKind::kAsynchronous: return "asynchronous";
-  }
-  return "?";
-}
-
-namespace {
-
-std::unique_ptr<net::DelayModel> make_model(const EnvironmentConfig& env) {
-  switch (env.synchrony) {
-    case SynchronyKind::kSynchronous:
-      if (env.delta_min == env.delta_max) {
-        // Deterministic-delay preset (exp::deterministic_env): fixed
-        // delta with no per-message RNG draw, so same-instant replies
-        // coalesce through batched delivery.
-        return net::DelayModel::synchronous(env.delta_max);
-      }
-      return std::make_unique<net::SynchronousModel>(env.delta_min,
-                                                     env.delta_max);
-    case SynchronyKind::kPartiallySynchronous:
-      return std::make_unique<net::PartialSynchronyModel>(
-          env.gst, env.delta_max, env.pre_gst_typical);
-    case SynchronyKind::kAsynchronous:
-      return std::make_unique<net::AsynchronousModel>(env.async_typical,
-                                                      env.async_cap);
-  }
-  XCP_REQUIRE(false, "unreachable synchrony kind");
-  return nullptr;
-}
-
-}  // namespace
-
 RunRecord run_time_bounded(const TimeBoundedConfig& config) {
-  config.spec.validate();
   const int n = config.spec.n;
 
   RunRecord record;
   record.protocol = config.compensated ? "time-bounded" : "universal-naive";
   record.spec = config.spec;
+
+  SimRun world(config.seed, /*key_salt=*/0x9e3779b97f4a7c15ULL, config.env,
+               record.trace);
+  record.parts = world.add_deal(config.spec);
+  const Participants& parts = record.parts;
   record.schedule =
       config.compensated
           ? TimelockSchedule::drift_compensated(n, config.assumed)
           : TimelockSchedule::naive(n, config.assumed);
 
-  sim::Simulator simulator(config.seed);
-  net::Network network(simulator, make_model(config.env), &record.trace);
-  network.set_drop_probability(config.env.drop_probability);
-  ledger::Ledger ledger(&record.trace);
-  ledger::EscrowRegistry escrows(ledger, &record.trace);
-  crypto::KeyRegistry keys(config.seed ^ 0x9e3779b97f4a7c15ULL);
-
-  // Predict the cast: customers first (c_0..c_n), then escrows (e_0..e_{n-1}).
-  Participants parts;
-  for (int i = 0; i <= n; ++i) {
-    parts.customers.push_back(sim::ProcessId(static_cast<std::uint32_t>(i)));
-  }
-  for (int i = 0; i < n; ++i) {
-    parts.escrows.push_back(sim::ProcessId(static_cast<std::uint32_t>(n + 1 + i)));
-  }
-  record.parts = parts;
-
   auto ctx = std::make_shared<Fig2Context>();
   ctx->spec = config.spec;
   ctx->parts = parts;
   ctx->schedule = *record.schedule;
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
+  ctx->ledger = &world.ledger;
+  ctx->escrows = &world.escrows;
+  ctx->keys = &world.keys;
   ctx->trace = &record.trace;
-  ctx->bob_signer = keys.signer_for(parts.bob());
+  ctx->bob_signer = world.keys.signer_for(parts.bob());
   ctx->customer_giveup = config.customer_giveup;
 
-  // Spawn interpreters in the predicted order and verify the prediction.
-  std::vector<anta::Interpreter*> interps;
-  for (int i = 0; i <= n; ++i) {
-    auto& in = simulator.spawn<anta::Interpreter>(
-        parts.role_name(parts.customer(i)), build_customer_automaton(ctx, i),
-        config.env.processing);
-    XCP_REQUIRE(in.id() == parts.customer(i), "customer id prediction broken");
-    network.attach(in);
-    interps.push_back(&in);
-  }
-  for (int i = 0; i < n; ++i) {
-    auto& in = simulator.spawn<anta::Interpreter>(
-        parts.role_name(parts.escrow(i)), build_escrow_automaton(ctx, i),
-        config.env.processing);
-    XCP_REQUIRE(in.id() == parts.escrow(i), "escrow id prediction broken");
-    network.attach(in);
-    interps.push_back(&in);
-  }
-
-  // Clocks with the environment's actual drift.
-  {
-    Rng clock_rng = simulator.rng().fork();
-    for (const auto* in : interps) {
-      simulator.set_clock(in->id(),
-                          sim::DriftClock::sample(clock_rng, config.env.actual_rho,
-                                                  config.env.clock_offset_max));
+  // A participant is abiding unless assigned a Byzantine strategy (the
+  // last assignment to it wins).
+  const auto abiding = [&](bool is_escrow, int index) {
+    bool result = true;
+    for (const ByzantineAssignment& b : config.byzantine) {
+      if (b.is_escrow == is_escrow && b.index == index) {
+        result = b.strategy == ByzStrategy::kNone;
+      }
     }
+    return result;
+  };
+  for (int i = 0; i <= n; ++i) {
+    world.spawn_member<anta::Interpreter>(
+        parts.customer(i), parts.role_name(parts.customer(i)),
+        abiding(false, i), build_customer_automaton(ctx, i),
+        config.env.processing);
   }
-
-  // Fund the paying customers with exactly their hop amount.
   for (int i = 0; i < n; ++i) {
-    ledger.mint(parts.customer(i), config.spec.hop_amount(i));
+    world.spawn_member<anta::Interpreter>(
+        parts.escrow(i), parts.role_name(parts.escrow(i)), abiding(true, i),
+        build_escrow_automaton(ctx, i), config.env.processing);
   }
+  world.start();
 
-  // Byzantine strategies.
-  std::vector<bool> abiding(interps.size(), true);
   for (const ByzantineAssignment& b : config.byzantine) {
     const sim::ProcessId pid =
         b.is_escrow ? parts.escrow(b.index) : parts.customer(b.index);
-    anta::Interpreter* in = interps.at(pid.value());
-    XCP_REQUIRE(in->id() == pid, "byzantine target mismatch");
-    apply_byzantine(*in, b, ctx);
-    abiding[pid.value()] = (b.strategy == ByzStrategy::kNone);
+    apply_byzantine(static_cast<anta::Interpreter&>(world.member(pid.value())),
+                    b, ctx);
   }
 
   // Timing adversary (within the synchrony model's envelope).
   std::unique_ptr<net::Adversary> adversary;
   if (config.adversary) {
     adversary = config.adversary(parts, *record.schedule);
-    network.set_adversary(adversary.get());
+    world.network.set_adversary(adversary.get());
   }
 
-  // Snapshot initial holdings.
-  std::vector<std::vector<Amount>> initial;
-  initial.reserve(interps.size());
-  for (const auto* in : interps) initial.push_back(ledger.holdings(in->id()));
+  // Every timer of the protocol lies within the schedule's horizon, so a
+  // run without a monitor ends there; with early_stop it ends at the
+  // event that terminates the last abiding participant.
+  world.run(TimePoint::origin() + record.schedule->horizon() +
+                config.extra_horizon,
+            base_online_config(config.spec, parts), config.online,
+            /*stop=*/config.online.enabled && config.online.early_stop,
+            record);
 
-  // Online checking: verdict state machines ride the trace stream; with
-  // early_stop armed, the run ends at the event that terminates the last
-  // abiding participant instead of draining residual timers to the horizon.
-  std::optional<props::OnlineMonitor> monitor;
-  if (config.online.enabled) {
-    props::OnlineMonitor::Config ocfg = base_online_config(config.spec, parts);
-    for (std::size_t k = 0; k < interps.size(); ++k) {
-      if (abiding[k]) ocfg.cast.push_back(interps[k]->id());
-    }
-    monitor.emplace(ocfg);
-    if (config.online.early_stop) monitor->arm_stop(&simulator.stop_token());
-    record.trace.set_sink(&*monitor);
-  }
-
-  const Duration horizon = record.schedule->horizon() + config.extra_horizon;
-  bool drained = simulator.run_until(TimePoint::origin() + horizon);
-  if (monitor) {
-    record.trace.set_sink(nullptr);
-    record.online = monitor->outcome();
-    // An early-stopped run is quiescent for every checker input: report it
-    // as drained, the convention the weak runner's termination check has
-    // always used for its own early exit.
-    if (simulator.stop_requested()) drained = true;
-  }
-
-  // Extract outcomes.
-  for (std::size_t k = 0; k < interps.size(); ++k) {
-    const anta::Interpreter* in = interps[k];
-    ParticipantOutcome p;
-    p.pid = in->id();
-    p.role = parts.role_name(p.pid);
-    p.abiding = abiding[k];
-    p.is_escrow = parts.is_escrow(p.pid);
-    p.index = p.is_escrow ? static_cast<int>(k) - (n + 1) : static_cast<int>(k);
-    p.terminated = in->finished();
-    p.terminated_local = in->terminated_local();
-    p.terminated_global = in->terminated_global();
-    p.local_at_start = in->clock().to_local(TimePoint::origin());
-    p.final_state = in->automaton().state_name(in->state());
-    p.initial_holdings = initial[k];
-    p.final_holdings = ledger.holdings(p.pid);
+  for (std::size_t k = 0; k < 2 * static_cast<std::size_t>(n) + 1; ++k) {
+    const auto& in = static_cast<const anta::Interpreter&>(world.member(k));
+    ParticipantOutcome p = world.outcome(k, parts);
+    p.terminated = in.finished();
+    p.terminated_local = in.terminated_local();
+    p.terminated_global = in.terminated_global();
+    p.final_state = in.automaton().state_name(in.state());
     p.issued_payment_cert =
         record.trace.count(props::EventKind::kCertIssued, p.pid) > 0;
     p.received_payment_cert =
         record.trace.count(props::EventKind::kCertReceived, p.pid) > 0;
     record.participants.push_back(std::move(p));
   }
-
-  record.escrow_deals = escrows.deals();
-  record.stats.messages_sent = network.stats().messages_sent;
-  record.stats.messages_delivered = network.stats().messages_delivered;
-  record.stats.messages_dropped = network.stats().messages_dropped;
-  record.stats.events_executed = simulator.events_executed();
-  record.stats.end_time = simulator.now();
-  record.stats.drained = drained;
+  record.escrow_deals = world.escrows.deals();
   return record;
 }
 

@@ -19,42 +19,10 @@
 #include "proto/byzantine.hpp"
 #include "proto/deal_spec.hpp"
 #include "proto/outcome.hpp"
+#include "proto/run.hpp"
 #include "proto/timelock_schedule.hpp"
 
 namespace xcp::proto {
-
-enum class SynchronyKind { kSynchronous, kPartiallySynchronous, kAsynchronous };
-
-const char* synchrony_name(SynchronyKind k);
-
-struct EnvironmentConfig {
-  SynchronyKind synchrony = SynchronyKind::kSynchronous;
-
-  // Synchronous model: delays uniform in [delta_min, delta_max].
-  Duration delta_min = Duration::millis(1);
-  Duration delta_max = Duration::millis(100);
-
-  // Partially synchronous model.
-  TimePoint gst = TimePoint::origin() + Duration::seconds(10);
-  Duration pre_gst_typical = Duration::seconds(5);
-
-  // Asynchronous model.
-  Duration async_typical = Duration::millis(100);
-  Duration async_cap = Duration::seconds(300);
-
-  // Clocks: rates sampled in [1-actual_rho, 1+actual_rho], offsets in
-  // [-clock_offset_max, +clock_offset_max].
-  double actual_rho = 0.0;
-  Duration clock_offset_max = Duration::zero();
-
-  // True-time bound on output-state computation actually exhibited.
-  Duration processing = Duration::millis(5);
-
-  // Message loss probability. The paper's models assume reliable links
-  // (default 0); non-zero values deliberately step outside the model for
-  // robustness experiments — safety must still hold, liveness need not.
-  double drop_probability = 0.0;
-};
 
 /// Builds a timing adversary once participant ids are known. The returned
 /// adversary is owned by the run for its duration.

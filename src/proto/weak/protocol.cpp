@@ -1,12 +1,10 @@
 #include "proto/weak/protocol.hpp"
 
 #include <algorithm>
-
-#include <optional>
+#include <span>
+#include <string>
 
 #include "chain/blockchain.hpp"
-#include "net/delay_model.hpp"
-#include "props/online.hpp"
 #include "proto/weak/contract_tm.hpp"
 #include "proto/weak/trusted_tm.hpp"
 #include "support/status.hpp"
@@ -15,307 +13,236 @@ namespace xcp::proto::weak {
 
 namespace {
 
-std::unique_ptr<net::DelayModel> make_model(const EnvironmentConfig& env) {
-  switch (env.synchrony) {
-    case SynchronyKind::kSynchronous:
-      if (env.delta_min == env.delta_max) {
-        // Deterministic-delay preset: fixed delta, no per-message RNG
-        // draw; committee replies land same-instant and coalesce through
-        // batched delivery.
-        return net::DelayModel::synchronous(env.delta_max);
-      }
-      return std::make_unique<net::SynchronousModel>(env.delta_min,
-                                                     env.delta_max);
-    case SynchronyKind::kPartiallySynchronous:
-      return std::make_unique<net::PartialSynchronyModel>(
-          env.gst, env.delta_max, env.pre_gst_typical);
-    case SynchronyKind::kAsynchronous:
-      return std::make_unique<net::AsynchronousModel>(env.async_typical,
-                                                      env.async_cap);
+/// Wires `deals` on one SimRun and fills one record per deal. `config`
+/// supplies everything the deals share; its own deal fields are unused.
+/// A multi-deal batch uses its own key salt and names every process and
+/// contract after its deal; a single deal uses the committee key salt and
+/// the plain role names.
+void run_deals(const WeakConfig& config, std::span<const DealSetup> deals,
+               bool batch, std::span<RunRecord> records) {
+  const std::size_t k = deals.size();
+  SimRun world(config.seed, batch ? 0xabcdef12345ULL : consensus::kWeakKeySalt,
+               config.env, records[0].trace);
+
+  // Cast prediction: every deal's customers and escrows, then the TM
+  // processes: one trusted party per deal, one shared chain, or the
+  // notary committee.
+  for (std::size_t d = 0; d < k; ++d) {
+    records[d].spec = deals[d].spec;
+    records[d].parts = world.add_deal(deals[d].spec);
   }
-  XCP_REQUIRE(false, "unreachable synchrony kind");
-  return nullptr;
+  std::vector<sim::ProcessId> tm_ids;
+  switch (config.tm) {
+    case TmKind::kTrustedParty:
+      for (std::size_t d = 0; d < k; ++d) tm_ids.push_back(world.reserve());
+      break;
+    case TmKind::kSmartContract:
+      tm_ids.push_back(world.reserve());
+      break;
+    case TmKind::kNotaryCommittee:
+      XCP_REQUIRE(config.notary_count >= 1, "need at least one notary");
+      for (int i = 0; i < config.notary_count; ++i) {
+        tm_ids.push_back(world.reserve());
+      }
+      break;
+  }
+
+  std::vector<consensus::ValidityRules> validity(k);
+  std::vector<std::string> tm_names(k, "tm");
+  for (std::size_t d = 0; d < k; ++d) {
+    const DealSetup& setup = deals[d];
+    const Participants& parts = records[d].parts;
+    const std::string prefix =
+        batch ? "d" + std::to_string(setup.spec.deal_id) + "_" : "";
+    if (batch) tm_names[d] = "tm_" + std::to_string(setup.spec.deal_id);
+
+    validity[d].deal_id = setup.spec.deal_id;
+    validity[d].expected_escrows = parts.escrows;
+    validity[d].expected_customers = parts.customers;
+    validity[d].bob = parts.bob();
+    validity[d].keys = &world.keys;
+
+    auto ctx = std::make_shared<WeakContext>();
+    ctx->spec = setup.spec;
+    ctx->parts = parts;
+    ctx->tm_kind = config.tm;
+    ctx->tm_contract_name = tm_names[d];
+    ctx->ledger = &world.ledger;
+    ctx->escrows = &world.escrows;
+    ctx->keys = &world.keys;
+    ctx->trace = &records[0].trace;
+    ctx->verifier.kind = config.tm;
+    ctx->verifier.deal_id = setup.spec.deal_id;
+    ctx->verifier.keys = &world.keys;
+    if (config.tm == TmKind::kNotaryCommittee) {
+      ctx->tm_addresses = tm_ids;
+      ctx->verifier.committee_identity =
+          consensus::committee_identity_for(setup.spec.deal_id);
+      ctx->verifier.committee_members = tm_ids;
+      const int f = (config.notary_count - 1) / 3;
+      ctx->verifier.quorum = static_cast<std::size_t>(2 * f + 1);
+    } else {
+      ctx->tm_addresses = {
+          tm_ids[config.tm == TmKind::kTrustedParty ? d : 0]};
+      ctx->verifier.single_issuer = ctx->tm_addresses.front();
+    }
+
+    const auto behaviour_of = [&](bool is_escrow, int index) {
+      for (const auto& b : setup.byzantine) {
+        if (b.is_escrow == is_escrow && b.index == index) return b.behaviour;
+      }
+      return WeakByz::kHonest;
+    };
+    const auto patience_of = [&](int index) {
+      for (const auto& [i, p] : setup.patience_overrides) {
+        if (i == index) return p;
+      }
+      return setup.patience;
+    };
+    for (int i = 0; i <= setup.spec.n; ++i) {
+      const WeakByz b = behaviour_of(false, i);
+      // Losing patience early is *allowed* by the protocol; only genuine
+      // deviations count as non-abiding.
+      world.spawn_member<WeakCustomer>(
+          parts.customer(i), prefix + parts.role_name(parts.customer(i)),
+          b == WeakByz::kHonest || b == WeakByz::kEagerAbort, ctx, i,
+          patience_of(i), b);
+    }
+    for (int i = 0; i < setup.spec.n; ++i) {
+      const WeakByz b = behaviour_of(true, i);
+      world.spawn_member<WeakEscrow>(
+          parts.escrow(i), prefix + parts.role_name(parts.escrow(i)),
+          b == WeakByz::kHonest, ctx, i, b);
+    }
+  }
+
+  // Everyone of a deal who must learn its decision.
+  const auto notify_of = [&](std::size_t d) {
+    std::vector<sim::ProcessId> notify = records[d].parts.customers;
+    for (auto pid : records[d].parts.escrows) notify.push_back(pid);
+    return notify;
+  };
+  switch (config.tm) {
+    case TmKind::kTrustedParty:
+      for (std::size_t d = 0; d < k; ++d) {
+        auto& tm = world.spawn<TrustedPartyTm>(tm_ids[d], tm_names[d],
+                                               validity[d], notify_of(d),
+                                               world.keys);
+        if (config.tm_abort_deadline) {
+          tm.set_abort_deadline(*config.tm_abort_deadline);
+        }
+      }
+      break;
+    case TmKind::kSmartContract: {
+      auto& bc = world.spawn<chain::Blockchain>(
+          tm_ids[0], "chain", config.block_interval, world.keys);
+      for (std::size_t d = 0; d < k; ++d) {
+        bc.register_contract(
+            std::make_unique<TmContract>(validity[d], tm_names[d]));
+        // Chain events go to every subscriber; verification scopes by deal.
+        for (sim::ProcessId pid : notify_of(d)) bc.subscribe(pid);
+      }
+      break;
+    }
+    case TmKind::kNotaryCommittee: {
+      auto committee = std::make_shared<consensus::CommitteeConfig>();
+      committee->instance = deals[0].spec.deal_id;
+      committee->committee_identity =
+          consensus::committee_identity_for(deals[0].spec.deal_id);
+      committee->members = tm_ids;
+      committee->base_round = config.notary_base_round;
+      committee->validity = validity[0];
+      committee->notify = notify_of(0);
+      for (int i = 0; i < config.notary_count; ++i) {
+        const auto behaviour = i < config.byzantine_notaries
+                                   ? config.notary_byz
+                                   : consensus::NotaryBehaviour::kHonest;
+        world.spawn<consensus::Notary>(tm_ids[static_cast<std::size_t>(i)],
+                                       "notary_" + std::to_string(i),
+                                       committee, world.keys, behaviour);
+      }
+      break;
+    }
+  }
+
+  world.start();
+
+  std::unique_ptr<net::Adversary> adversary;
+  if (config.adversary) {
+    adversary = config.adversary(records[0].parts);
+    world.network.set_adversary(adversary.get());
+  }
+
+  world.run(TimePoint::origin() + config.horizon,
+            base_online_config(deals[0].spec, records[0].parts),
+            config.online,
+            /*stop=*/!config.online.enabled || config.online.early_stop,
+            records[0]);
+
+  std::size_t member = 0;
+  for (std::size_t d = 0; d < k; ++d) {
+    RunRecord& record = records[d];
+    record.protocol = std::string(batch ? "weak-multi:" : "weak:") +
+                      tm_kind_name(config.tm);
+    for (int i = 0; i < 2 * deals[d].spec.n + 1; ++i, ++member) {
+      const auto& w = static_cast<const WeakParticipant&>(world.member(member));
+      ParticipantOutcome p = world.outcome(member, record.parts);
+      p.terminated = w.terminated();
+      p.terminated_local = w.terminated_local();
+      p.terminated_global = w.terminated_global();
+      p.final_state = w.final_state();
+      p.received_commit_cert = w.got_commit_cert();
+      p.received_abort_cert = w.got_abort_cert();
+      if (const auto* c = dynamic_cast<const WeakCustomer*>(&w)) {
+        p.issued_payment_cert = c->issued_chi();
+      }
+      p.received_payment_cert =
+          records[0].trace.count(props::EventKind::kCertReceived, p.pid,
+                                 props::labels::chi) > 0;
+      record.participants.push_back(std::move(p));
+    }
+    for (const auto& deal : world.escrows.deals()) {
+      if (record.parts.is_escrow(deal.escrow)) {
+        record.escrow_deals.push_back(deal);
+      }
+    }
+    if (d > 0) {
+      record.stats = records[0].stats;
+      record.trace = records[0].trace.clone();
+    }
+  }
 }
 
 }  // namespace
 
 RunRecord run_weak(const WeakConfig& config) {
-  config.spec.validate();
-  const int n = config.spec.n;
-
+  const DealSetup deal{config.spec, config.patience,
+                       config.patience_overrides, config.byzantine};
   RunRecord record;
-  record.protocol = std::string("weak:") + tm_kind_name(config.tm);
-  record.spec = config.spec;
-
-  sim::Simulator simulator(config.seed);
-  net::Network network(simulator, make_model(config.env), &record.trace);
-  network.set_drop_probability(config.env.drop_probability);
-  ledger::Ledger ledger(&record.trace);
-  ledger::EscrowRegistry escrows(ledger, &record.trace);
-  crypto::KeyRegistry keys(config.seed ^ 0xc0ffee1234ULL);
-
-  // Cast prediction: customers 0..n, escrows n+1..2n, TM processes after.
-  Participants parts;
-  for (int i = 0; i <= n; ++i) {
-    parts.customers.push_back(sim::ProcessId(static_cast<std::uint32_t>(i)));
-  }
-  for (int i = 0; i < n; ++i) {
-    parts.escrows.push_back(sim::ProcessId(static_cast<std::uint32_t>(n + 1 + i)));
-  }
-  record.parts = parts;
-
-  const std::uint32_t first_tm_id = static_cast<std::uint32_t>(2 * n + 1);
-  std::vector<sim::ProcessId> tm_addresses;
-  std::vector<sim::ProcessId> notary_ids;
-  switch (config.tm) {
-    case TmKind::kTrustedParty:
-    case TmKind::kSmartContract:
-      tm_addresses = {sim::ProcessId(first_tm_id)};
-      break;
-    case TmKind::kNotaryCommittee:
-      XCP_REQUIRE(config.notary_count >= 1, "need at least one notary");
-      for (int i = 0; i < config.notary_count; ++i) {
-        notary_ids.push_back(sim::ProcessId(first_tm_id + i));
-      }
-      tm_addresses = notary_ids;
-      break;
-  }
-
-  // Everyone who must learn the decision.
-  std::vector<sim::ProcessId> notify;
-  for (auto pid : parts.customers) notify.push_back(pid);
-  for (auto pid : parts.escrows) notify.push_back(pid);
-
-  consensus::ValidityRules validity;
-  validity.deal_id = config.spec.deal_id;
-  validity.expected_escrows = parts.escrows;
-  validity.expected_customers = parts.customers;
-  validity.bob = parts.bob();
-  validity.keys = &keys;
-
-  const sim::ProcessId committee_identity(3'000'000u +
-                                          static_cast<std::uint32_t>(
-                                              config.spec.deal_id));
-
-  auto ctx = std::make_shared<WeakContext>();
-  ctx->spec = config.spec;
-  ctx->parts = parts;
-  ctx->tm_kind = config.tm;
-  ctx->tm_addresses = tm_addresses;
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
-  ctx->trace = &record.trace;
-
-  ctx->verifier.kind = config.tm;
-  ctx->verifier.deal_id = config.spec.deal_id;
-  ctx->verifier.keys = &keys;
-  if (config.tm == TmKind::kNotaryCommittee) {
-    ctx->verifier.committee_identity = committee_identity;
-    ctx->verifier.committee_members = notary_ids;
-    const int f = (config.notary_count - 1) / 3;
-    ctx->verifier.quorum = static_cast<std::size_t>(2 * f + 1);
-  } else {
-    ctx->verifier.single_issuer = tm_addresses.front();
-  }
-
-  // Byzantine lookups.
-  auto behaviour_of = [&](bool is_escrow, int index) {
-    for (const auto& b : config.byzantine) {
-      if (b.is_escrow == is_escrow && b.index == index) return b.behaviour;
-    }
-    return WeakByz::kHonest;
-  };
-  auto patience_of = [&](int index) {
-    for (const auto& [i, p] : config.patience_overrides) {
-      if (i == index) return p;
-    }
-    return config.patience;
-  };
-
-  // Spawn customers and escrows.
-  std::vector<WeakParticipant*> members;
-  std::vector<bool> abiding;
-  for (int i = 0; i <= n; ++i) {
-    const WeakByz b = behaviour_of(false, i);
-    auto& c = simulator.spawn<WeakCustomer>(parts.role_name(parts.customer(i)),
-                                            ctx, i, patience_of(i), b);
-    XCP_REQUIRE(c.id() == parts.customer(i), "customer id prediction broken");
-    network.attach(c);
-    members.push_back(&c);
-    // Losing patience early is *allowed* by the protocol; only genuine
-    // deviations count as non-abiding.
-    abiding.push_back(b == WeakByz::kHonest || b == WeakByz::kEagerAbort);
-  }
-  for (int i = 0; i < n; ++i) {
-    const WeakByz b = behaviour_of(true, i);
-    auto& e = simulator.spawn<WeakEscrow>(parts.role_name(parts.escrow(i)), ctx,
-                                          i, b);
-    XCP_REQUIRE(e.id() == parts.escrow(i), "escrow id prediction broken");
-    network.attach(e);
-    members.push_back(&e);
-    abiding.push_back(b == WeakByz::kHonest);
-  }
-
-  // Spawn the transaction manager.
-  chain::Blockchain* chain_ptr = nullptr;
-  std::vector<consensus::Notary*> notaries;
-  switch (config.tm) {
-    case TmKind::kTrustedParty: {
-      auto& tm = simulator.spawn<TrustedPartyTm>("tm", validity, notify, keys);
-      XCP_REQUIRE(tm.id() == tm_addresses.front(), "tm id prediction broken");
-      if (config.tm_abort_deadline) {
-        tm.set_abort_deadline(*config.tm_abort_deadline);
-      }
-      network.attach(tm);
-      break;
-    }
-    case TmKind::kSmartContract: {
-      auto& bc = simulator.spawn<chain::Blockchain>("chain",
-                                                    config.block_interval, keys);
-      XCP_REQUIRE(bc.id() == tm_addresses.front(), "chain id prediction broken");
-      network.attach(bc);
-      bc.register_contract(std::make_unique<TmContract>(validity));
-      for (sim::ProcessId pid : notify) bc.subscribe(pid);
-      chain_ptr = &bc;
-      break;
-    }
-    case TmKind::kNotaryCommittee: {
-      auto committee = std::make_shared<consensus::CommitteeConfig>();
-      committee->instance = config.spec.deal_id;
-      committee->committee_identity = committee_identity;
-      committee->members = notary_ids;
-      committee->base_round = config.notary_base_round;
-      committee->validity = validity;
-      committee->notify = notify;
-      for (int i = 0; i < config.notary_count; ++i) {
-        const auto behaviour = i < config.byzantine_notaries
-                                   ? config.notary_byz
-                                   : consensus::NotaryBehaviour::kHonest;
-        auto& notary = simulator.spawn<consensus::Notary>(
-            "notary_" + std::to_string(i), committee, keys, behaviour);
-        XCP_REQUIRE(notary.id() == notary_ids[static_cast<std::size_t>(i)],
-                    "notary id prediction broken");
-        network.attach(notary);
-        notaries.push_back(&notary);
-      }
-      break;
-    }
-  }
-
-  // Clocks with the environment's drift (participants and TM alike).
-  {
-    Rng clock_rng = simulator.rng().fork();
-    for (std::uint32_t pid = 0; pid < simulator.process_count(); ++pid) {
-      simulator.set_clock(sim::ProcessId(pid),
-                          sim::DriftClock::sample(clock_rng, config.env.actual_rho,
-                                                  config.env.clock_offset_max));
-    }
-  }
-
-  // Fund the paying customers.
-  for (int i = 0; i < n; ++i) {
-    ledger.mint(parts.customer(i), config.spec.hop_amount(i));
-  }
-
-  std::unique_ptr<net::Adversary> adversary;
-  if (config.adversary) {
-    adversary = config.adversary(parts);
-    network.set_adversary(adversary.get());
-  }
-
-  // Snapshot initial holdings.
-  std::vector<std::vector<Amount>> initial;
-  initial.reserve(members.size());
-  for (const auto* p : members) initial.push_back(ledger.holdings(p->id()));
-
-  // Online checking: the monitor watches the trace stream and, when armed,
-  // stops the run at the event that terminates the last abiding member.
-  std::optional<props::OnlineMonitor> monitor;
-  if (config.online.enabled) {
-    props::OnlineMonitor::Config ocfg = base_online_config(config.spec, parts);
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      if (abiding[k]) ocfg.cast.push_back(members[k]->id());
-    }
-    monitor.emplace(ocfg);
-    if (config.online.early_stop) monitor->arm_stop(&simulator.stop_token());
-    record.trace.set_sink(&*monitor);
-  }
-
-  const TimePoint deadline = TimePoint::origin() + config.horizon;
-  bool drained = false;
-  if (monitor && config.online.early_stop) {
-    // Event-granular early termination: the stop lands on the deciding
-    // terminate event itself, so the blockchain's perpetual block timer and
-    // notary round timers simply never fire again — no slicing needed.
-    drained = simulator.run_until(deadline) || simulator.stop_requested();
-  } else if (monitor) {
-    // Watch-only mode: the monitor observes but never intervenes — the run
-    // takes its natural course to the horizon (the post-mortem discipline;
-    // the blockchain's perpetual block timer runs the full window). This is
-    // the A/B baseline the early-stop speedups are measured against.
-    drained = simulator.run_until(deadline);
-  } else {
-    // No monitor: the pre-online behaviour, kept for runs that want the
-    // legacy stop rule — slices, so the blockchain's perpetual block timer
-    // can be stopped once every participant has terminated (letting the
-    // queue drain). Byzantine participants may never terminate by design;
-    // the run is done once every *abiding* participant has.
-    const Duration slice = Duration::seconds(1);
-    while (simulator.now() < deadline) {
-      const TimePoint next = std::min(deadline, simulator.now() + slice);
-      drained = simulator.run_until(next);
-      bool all_done = true;
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        if (abiding[k] && !members[k]->terminated()) all_done = false;
-      }
-      if (all_done) {
-        if (chain_ptr != nullptr) chain_ptr->stop();
-        drained = true;
-        break;
-      }
-      if (drained) break;
-    }
-  }
-  if (monitor) {
-    record.trace.set_sink(nullptr);
-    record.online = monitor->outcome();
-  }
-
-  // Extract outcomes.
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    const WeakParticipant* m = members[k];
-    ParticipantOutcome p;
-    p.pid = m->id();
-    p.role = parts.role_name(p.pid);
-    p.abiding = abiding[k];
-    p.is_escrow = parts.is_escrow(p.pid);
-    p.index = p.is_escrow ? static_cast<int>(k) - (n + 1) : static_cast<int>(k);
-    p.terminated = m->terminated();
-    p.terminated_local = m->terminated_local();
-    p.terminated_global = m->terminated_global();
-    p.local_at_start = m->clock().to_local(TimePoint::origin());
-    p.final_state = m->final_state();
-    p.initial_holdings = initial[k];
-    p.final_holdings = ledger.holdings(p.pid);
-    p.received_commit_cert = m->got_commit_cert();
-    p.received_abort_cert = m->got_abort_cert();
-    if (const auto* c = dynamic_cast<const WeakCustomer*>(m)) {
-      p.issued_payment_cert = c->issued_chi();
-    }
-    p.received_payment_cert =
-        record.trace.count(props::EventKind::kCertReceived, p.pid, props::labels::chi) > 0;
-    record.participants.push_back(std::move(p));
-  }
-
-  record.escrow_deals = escrows.deals();
-  record.stats.messages_sent = network.stats().messages_sent;
-  record.stats.messages_delivered = network.stats().messages_delivered;
-  record.stats.messages_dropped = network.stats().messages_dropped;
-  record.stats.events_executed = simulator.events_executed();
-  record.stats.end_time = simulator.now();
-  record.stats.drained = drained;
+  run_deals(config, {&deal, 1}, /*batch=*/false, {&record, 1});
   return record;
+}
+
+std::vector<RunRecord> run_weak_multi(const MultiWeakConfig& config) {
+  XCP_REQUIRE(!config.deals.empty(), "no deals");
+  XCP_REQUIRE(config.tm == TmKind::kTrustedParty ||
+                  config.tm == TmKind::kSmartContract,
+              "multi-deal supports trusted-party and smart-contract TMs");
+  std::vector<std::uint64_t> ids;
+  for (const auto& d : config.deals) ids.push_back(d.spec.deal_id);
+  std::sort(ids.begin(), ids.end());
+  XCP_REQUIRE(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
+              "deal ids must be unique");
+
+  WeakConfig shared;
+  shared.seed = config.seed;
+  shared.tm = config.tm;
+  shared.env = config.env;
+  shared.block_interval = config.block_interval;
+  shared.horizon = config.horizon;
+  std::vector<RunRecord> records(config.deals.size());
+  run_deals(shared, config.deals, /*batch=*/true, records);
+  return records;
 }
 
 }  // namespace xcp::proto::weak

@@ -2,14 +2,15 @@
 // Runner for the weak-liveness protocol (Thm 3): wires participants, the
 // chosen transaction-manager back-end, synchrony model, drift, patience and
 // Byzantine assignments; executes; extracts a RunRecord compatible with the
-// Definition-2 property checkers.
+// Definition-2 property checkers. One runner serves a single deal
+// (run_weak) and concurrent deals on shared substrates (run_weak_multi).
 
 #include <utility>
 #include <vector>
 
 #include "consensus/notary.hpp"
 #include "proto/outcome.hpp"
-#include "proto/timebounded.hpp"  // EnvironmentConfig, SynchronyKind
+#include "proto/run.hpp"
 #include "proto/weak/participants.hpp"
 
 namespace xcp::proto::weak {
@@ -63,13 +64,46 @@ struct WeakConfig {
   /// An adversary factory over the participant ids (timing attacks).
   std::function<std::unique_ptr<net::Adversary>(const Participants&)> adversary;
 
-  /// Online checking (see props/online.hpp). With early_stop, the run ends
-  /// at the exact event that terminates the last abiding member — replacing
-  /// the 1-second slice polling below with an event-granular stop, and
-  /// halting TM infrastructure (block timers, notary rounds) implicitly.
+  /// Online checking (see props/online.hpp): `enabled` exports the
+  /// monitor's verdicts into RunRecord::online. The TM infrastructure
+  /// (block timer, notary rounds) never drains on its own, so the run ends
+  /// at the event that terminates the last abiding member — unless a
+  /// watch-only monitor ({true, false}) asks for the full horizon.
   props::OnlineOptions online;
 };
 
 RunRecord run_weak(const WeakConfig& config);
+
+/// One deal of a concurrent batch.
+struct DealSetup {
+  DealSpec spec;  // deal_id must be unique across the batch
+  Duration patience = Duration::seconds(60);
+  std::vector<std::pair<int, Duration>> patience_overrides;
+  std::vector<WeakByzAssignment> byzantine;
+};
+
+/// Concurrent deals over one simulator, one ledger and — for the
+/// smart-contract back-end — one blockchain hosting a TM contract per deal
+/// (the trusted-party back-end runs one TM per deal). Tests isolation (an
+/// abort in one deal never touches another), global conservation across
+/// deals and the shared chain's throughput.
+struct MultiWeakConfig {
+  std::uint64_t seed = 1;
+  TmKind tm = TmKind::kSmartContract;  // kTrustedParty or kSmartContract
+  EnvironmentConfig env = [] {
+    EnvironmentConfig e;
+    e.synchrony = SynchronyKind::kPartiallySynchronous;
+    return e;
+  }();
+  Duration block_interval = Duration::millis(500);
+  std::vector<DealSetup> deals;
+  Duration horizon = Duration::seconds(240);
+};
+
+/// Runs all deals concurrently; returns one RunRecord per deal (in input
+/// order). Each record carries the full shared trace and the run's stats;
+/// the per-deal checkers scope certificate consistency by deal id and
+/// everything else by the deal's participants.
+std::vector<RunRecord> run_weak_multi(const MultiWeakConfig& config);
 
 }  // namespace xcp::proto::weak

@@ -247,7 +247,6 @@ TEST(ZeroAlloc, FullRecordCheckCycleSteadyState) {
     p.pid = sim::ProcessId(i);
     p.role = i <= 2 ? "customer" : "escrow";
     p.is_escrow = i >= 3;
-    p.index = i <= 2 ? static_cast<int>(i) : static_cast<int>(i - 3);
     p.terminated = true;
     r.participants.push_back(std::move(p));
   }

@@ -5,7 +5,7 @@
 
 #include "exp/scenario.hpp"
 #include "props/checkers.hpp"
-#include "proto/weak/multi.hpp"
+#include "proto/weak/protocol.hpp"
 
 namespace xcp::proto::weak {
 namespace {
@@ -73,6 +73,28 @@ TEST_P(MultiDealTest, GlobalConservationAcrossDeals) {
     }
   }
   EXPECT_EQ(total, 0);
+}
+
+TEST_P(MultiDealTest, RunEndsWhenTheLastAbidingParticipantTerminates) {
+  // The batch stops at the event that terminates the last abiding
+  // participant of any deal; every record carries that end time.
+  auto cfg = base(GetParam(), 7, 5, 3);
+  cfg.deals[2].byzantine.push_back(
+      WeakByzAssignment::customer(1, WeakByz::kCrash));
+  cfg.deals[4].patience_overrides.push_back({2, Duration::millis(10)});
+  const auto records = run_weak_multi(cfg);
+  TimePoint last;
+  for (const auto& r : records) {
+    for (const auto& p : r.participants) {
+      if (!p.abiding) continue;
+      ASSERT_TRUE(p.terminated) << "deal " << r.spec.deal_id << " " << p.role;
+      last = std::max(last, p.terminated_global);
+    }
+  }
+  for (const auto& r : records) {
+    EXPECT_EQ(r.stats.end_time, last) << "deal " << r.spec.deal_id;
+    EXPECT_TRUE(r.stats.drained);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Tms, MultiDealTest,

@@ -35,12 +35,11 @@ RunRecord clean_record() {
     r.parts.escrows.push_back(sim::ProcessId(i));
   }
   auto add = [&](std::uint32_t pid, std::string role, bool is_escrow,
-                 int index, std::int64_t initial, std::int64_t final_units) {
+                 std::int64_t initial, std::int64_t final_units) {
     ParticipantOutcome p;
     p.pid = sim::ProcessId(pid);
     p.role = std::move(role);
     p.is_escrow = is_escrow;
-    p.index = index;
     p.terminated = true;
     p.terminated_global = TimePoint::origin() + Duration::seconds(1);
     p.terminated_local = p.terminated_global;
@@ -49,11 +48,11 @@ RunRecord clean_record() {
     if (final_units != 0) p.final_holdings = {gen(final_units)};
     r.participants.push_back(std::move(p));
   };
-  add(0, "alice", false, 0, 105, 0);
-  add(1, "chloe_1", false, 1, 100, 105);
-  add(2, "bob", false, 2, 0, 100);
-  add(3, "escrow_0", true, 0, 0, 0);
-  add(4, "escrow_1", true, 1, 0, 0);
+  add(0, "alice", false, 105, 0);
+  add(1, "chloe_1", false, 100, 105);
+  add(2, "bob", false, 0, 100);
+  add(3, "escrow_0", true, 0, 0);
+  add(4, "escrow_1", true, 0, 0);
   // Alice holds chi; bob issued it.
   r.participants[0].received_payment_cert = true;
   r.participants[2].issued_payment_cert = true;

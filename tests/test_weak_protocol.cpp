@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/scenario.hpp"
 #include "props/checkers.hpp"
 #include "proto/weak/protocol.hpp"
 
@@ -78,6 +79,55 @@ TEST_P(WeakProtocolTmTest, CertificateConsistencyUnderRace) {
     const auto record = run_weak(cfg);
     const auto cc = props::check_certificate_consistency(record);
     EXPECT_TRUE(cc.holds) << "seed=" << seed << "\n" << record.summary();
+  }
+}
+
+TEST_P(WeakProtocolTmTest, DefaultOptionsStopWhereTheMonitorStops) {
+  // One stop rule: a run that asks for no monitor ends at the same event
+  // as an early-stopping monitored run, in trace, stats and outcomes.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const WeakConfig plain = exp::thm3_config(GetParam(), 2, seed);
+    WeakConfig monitored = plain;
+    monitored.online = props::OnlineOptions{/*enabled=*/true,
+                                            /*early_stop=*/true};
+    const RunRecord a = run_weak(plain);
+    const RunRecord b = run_weak(monitored);
+    ASSERT_TRUE(b.online.early_stopped) << "seed " << seed;
+    EXPECT_FALSE(a.online.attached);
+
+    ASSERT_EQ(a.trace.size(), b.trace.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < a.trace.size(); ++i) {
+      EXPECT_EQ(a.trace.events()[i].str(), b.trace.events()[i].str())
+          << "seed " << seed << " event " << i;
+    }
+    EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
+    EXPECT_EQ(a.stats.messages_delivered, b.stats.messages_delivered);
+    EXPECT_EQ(a.stats.messages_dropped, b.stats.messages_dropped);
+    EXPECT_EQ(a.stats.events_executed, b.stats.events_executed);
+    EXPECT_EQ(a.stats.end_time, b.stats.end_time) << "seed " << seed;
+    EXPECT_EQ(a.stats.end_time, b.online.decided_at);
+    EXPECT_EQ(a.stats.drained, b.stats.drained);
+
+    ASSERT_EQ(a.participants.size(), b.participants.size());
+    for (std::size_t k = 0; k < a.participants.size(); ++k) {
+      const ParticipantOutcome& x = a.participants[k];
+      const ParticipantOutcome& y = b.participants[k];
+      EXPECT_EQ(x.pid, y.pid);
+      EXPECT_EQ(x.role, y.role);
+      EXPECT_EQ(x.abiding, y.abiding);
+      EXPECT_EQ(x.is_escrow, y.is_escrow);
+      EXPECT_EQ(x.terminated, y.terminated);
+      EXPECT_EQ(x.terminated_local, y.terminated_local);
+      EXPECT_EQ(x.terminated_global, y.terminated_global);
+      EXPECT_EQ(x.local_at_start, y.local_at_start);
+      EXPECT_EQ(x.final_state, y.final_state);
+      EXPECT_EQ(x.initial_holdings, y.initial_holdings);
+      EXPECT_EQ(x.final_holdings, y.final_holdings);
+      EXPECT_EQ(x.issued_payment_cert, y.issued_payment_cert);
+      EXPECT_EQ(x.received_payment_cert, y.received_payment_cert);
+      EXPECT_EQ(x.received_commit_cert, y.received_commit_cert);
+      EXPECT_EQ(x.received_abort_cert, y.received_abort_cert);
+    }
   }
 }
 
