@@ -48,8 +48,8 @@ struct MatrixCell {
   Duration decided_at_total;           // sum of decided-at over early stops
   std::uint64_t events_total = 0;      // simulator events across all seeds
 
-  /// Whole-cell equality, used by the distributed-sweep byte-identity
-  /// checks; defaulted so a new field can never be forgotten.
+  /// Whole-cell equality, used by the byte-identity checks across worker
+  /// counts; defaulted so a new field can never be forgotten.
   bool operator==(const MatrixCell&) const = default;
 
   bool safety_ok() const { return safety_violations == 0; }
@@ -71,14 +71,12 @@ struct CellOptions {
   props::OnlineOptions online{/*enabled=*/true, /*early_stop=*/true};
 };
 
-/// Worker-local fold state for the streaming cell sweep — and the unit
-/// shipped between sweep-shard processes (exp/shard.hpp). Merge is a plain
+/// Worker-local fold state for the streaming cell sweep. Merge is a plain
 /// sum except for the example list, which keeps the (seed, ordinal)-lowest
 /// few — every operation is insensitive to how seeds were partitioned
-/// across workers or shards and associative across merges, so the merged
-/// cell is bit-identical for any worker count, shard count, or merge order.
-/// Merging a default-constructed CellAccum is a no-op (idle worker slots
-/// and empty shards merge too).
+/// across workers and associative across merges, so the merged cell is
+/// bit-identical for any worker count or merge order. Merging a
+/// default-constructed CellAccum is a no-op (idle worker slots merge too).
 struct CellAccum {
   static constexpr std::size_t kMaxExamples = 4;
 
@@ -102,10 +100,9 @@ struct CellAccum {
 
 /// The streaming sweep behind run_matrix_cell, exposed as an accumulator:
 /// runs seeds [first_seed, first_seed + seeds) and returns the merged fold
-/// state instead of a finished cell. This is the unit of work a sweep shard
-/// (one process of exp::distributed_sweep) executes; folding shard accums
-/// with CellAccum::merge and finishing with cell_from_accum reproduces
-/// run_matrix_cell byte-for-byte.
+/// state instead of a finished cell. Folding the accums of consecutive seed
+/// ranges with CellAccum::merge and finishing with cell_from_accum
+/// reproduces run_matrix_cell byte-for-byte.
 CellAccum run_matrix_cell_accum(ProtocolKind protocol, Regime regime, int n,
                                 std::size_t seeds,
                                 std::uint64_t first_seed = 1,
@@ -120,8 +117,8 @@ proto::RunRecord run_cell_seed(ProtocolKind protocol, Regime regime, int n,
 
 /// Assembles the returned MatrixCell from a merged accumulator — the one
 /// place the accumulator's fields map onto the cell's, shared by the
-/// streaming, differential and distributed paths. `runs` is the total seed
-/// count the accumulator covers.
+/// streaming and differential paths. `runs` is the total seed count the
+/// accumulator covers.
 MatrixCell cell_from_accum(ProtocolKind protocol, Regime regime,
                            std::size_t runs, CellAccum&& acc);
 

@@ -1,15 +1,15 @@
 // The xcp-lint project-invariant static analysis pass.
 //
-// Every correctness claim this repo makes — byte-identical sweeps under
-// sharding/churn/crash-restart, amnesia-safe journaling, allocation-free
-// steady state — is enforced dynamically by differential tests, counting
-// allocators and sanitizers. Those catch a violation only when a test
-// happens to sample it. This pass encodes the same invariants as
-// compile-time-checkable lexical rules so the obvious regressions
-// (a stray wall-clock read, an unordered-map range-for feeding a report,
-// a blocking read in the dispatcher poll loop, a non-fixed-width field in
-// an encoder) are rejected at lint time, deterministically, on every
-// commit. Rule catalog and rationale: docs/LINT.md.
+// Every correctness claim this repo makes — byte-identical sweeps at any
+// worker count, committees that survive crash-restart, amnesia-safe
+// journaling, allocation-free steady state — is enforced dynamically by
+// differential tests, counting allocators and sanitizers. Those catch a
+// violation only when a test happens to sample it. This pass encodes the
+// same invariants as compile-time-checkable lexical rules so the obvious
+// regressions (a stray wall-clock read, an unordered-map range-for feeding
+// a report, a blocking read in the transport poll loop, a non-fixed-width
+// field in an encoder) are rejected at lint time, deterministically, on
+// every commit. Rule catalog and rationale: docs/LINT.md.
 //
 // Layering: lexer.hpp tokenizes, this header owns findings/suppressions/
 // baseline/engine, rules.cpp registers the rules, tools/xcp_lint.cpp is
@@ -111,14 +111,12 @@ struct Config {
       "src/ledger/", "src/crypto/", "src/chain/", "src/anta/",
       "src/deals/", "src/proto/", "src/baselines/"};
   /// Files whose poll loops must never block.
-  std::vector<std::string> loop_scopes{
-      "src/exp/dispatch.cpp", "src/net/socket_transport.cpp",
-      "src/net/node_runtime.cpp"};
+  std::vector<std::string> loop_scopes{"src/net/socket_transport.cpp",
+                                       "src/net/node_runtime.cpp"};
   /// Encode/decode code: wire-safety rules apply here.
   std::vector<std::string> wire_scopes{
       "src/support/bytes.hpp", "src/support/bytes.cpp", "src/net/wire.hpp",
-      "src/net/wire.cpp",      "src/exp/shard.hpp",     "src/exp/shard.cpp",
-      "src/net/wal.hpp",       "src/net/wal.cpp"};
+      "src/net/wire.cpp",      "src/net/wal.hpp",       "src/net/wal.cpp"};
   /// Kind/record-kind switches outside the codec files proper.
   std::vector<std::string> kind_switch_extra_scopes{"src/consensus/notary.cpp"};
   /// Steady-state hot functions: no allocation, period.
@@ -212,8 +210,8 @@ void apply_baseline(const Baseline& baseline, RunResult& result,
 
 // ----------------------------------------------------------- exit codes
 
-/// Exit-code taxonomy of tools/xcp_lint, mirroring exp::worker_exit and
-/// net::node_exit: scripts and CI branch on these.
+/// Exit-code taxonomy of tools/xcp_lint, in the style of net::node_exit:
+/// scripts and CI branch on these.
 namespace lint_exit {
 inline constexpr int kClean = 0;     // no non-baselined findings
 inline constexpr int kFindings = 1;  // at least one finding survived

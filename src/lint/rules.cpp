@@ -390,12 +390,11 @@ void scan_hotpath_alloc(const Config& c, const SourceFile& f,
 
 // ---------------------------------------------------------- loop-blocking
 //
-// The dispatcher and socket transport multiplex many children/peers
-// through one poll() loop; a single blocking call anywhere in those
-// files stalls every shard and every peer behind it (the exact bug class
-// PR 6 removed from the popen driver). waitpid must carry WNOHANG,
-// descriptor reads require the file to practice O_NONBLOCK discipline,
-// and sleeps/system()/popen() have no business in a supervision loop.
+// The socket transport and the node runtime multiplex every peer through
+// one poll() loop; a single blocking call anywhere in those files stalls
+// every peer behind it. waitpid must carry WNOHANG, descriptor reads
+// require the file to practice O_NONBLOCK discipline, and
+// sleeps/system()/popen() have no business in an event loop.
 
 bool applies_loop(const Config& c, std::string_view path) {
   return path_in(c.loop_scopes, path);

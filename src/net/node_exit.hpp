@@ -1,7 +1,7 @@
 #pragma once
-// Exit codes of tools/xcp_node, mirroring exp::worker_exit (exp/dispatch.hpp):
-// distinct, stable codes per failure class so process-spawning harnesses and
-// supervisors can tell a usage error from a poisoned journal from a bug.
+// Exit codes of tools/xcp_node: distinct, stable codes per failure class so
+// process-spawning harnesses and supervisors can tell a usage error from a
+// poisoned journal from a bug.
 //
 // 0, 2 and 3 predate the taxonomy and keep their historical meanings (0 =
 // decided/certified, 2 = usage, 3 = wall-clock timeout); the new classes

@@ -200,9 +200,9 @@ bool SocketTransport::peer_connected(std::uint32_t node) const {
 
 std::chrono::milliseconds dial_backoff(const SocketTransportOptions& opts,
                                        std::uint32_t node, int attempt) {
-  // Same deterministic shape as the dispatcher's retry backoff: exponential
-  // in the attempt number, capped, with seeded multiplicative jitter keyed
-  // by (peer node, attempt) so schedules are reproducible per deployment.
+  // Deterministic backoff: exponential in the attempt number, capped, with
+  // seeded multiplicative jitter keyed by (peer node, attempt) so schedules
+  // are reproducible per deployment.
   // The exponentiation stops the moment the cap is reached and the jitter
   // key saturates with it, so a peer that has been unreachable for days
   // costs the same as one that failed a handful of times.

@@ -1,7 +1,6 @@
 #pragma once
 // The supervised socket backend of the net::Transport seam: real
-// non-blocking sockets between processes, multiplexed by poll() in the
-// style of exp/dispatch.cpp's worker supervisor.
+// non-blocking sockets between processes, multiplexed by one poll() loop.
 //
 // Topology: every node listens on one address and dials one outbound
 // connection to each peer. Sends travel only on the dialed connection;
@@ -9,15 +8,15 @@
 // Hello control frame. Two simplex channels per pair keeps connection
 // management trivially race-free (no simultaneous-open dedup).
 //
-// Supervision, mirroring the dispatcher's policy rungs:
+// Supervision:
 //  - length-prefix framing survives partial reads and short writes (frames
 //    are reassembled per-connection; writes keep a bounded pending buffer);
 //  - a failed or broken dial retries with bounded deterministic
-//    exponential backoff + jitter (same splitmix64-seeded shape as
-//    DispatchOptions backoff); a Hello from a peer whose outbound link is
-//    idle cuts that backoff short and dials it at once, so links come up
-//    when the peer does (only Hellos do this, never heartbeats or
-//    messages, and a failed Hello dial resumes the backoff where it was);
+//    exponential backoff + jitter (splitmix64-seeded, so schedules are
+//    reproducible); a Hello from a peer whose outbound link is idle cuts
+//    that backoff short and dials it at once, so links come up when the
+//    peer does (only Hellos do this, never heartbeats or messages, and a
+//    failed Hello dial resumes the backoff where it was);
 //  - liveness is heartbeat-based: every established outbound connection
 //    carries a Heartbeat control frame each heartbeat_interval, and a peer
 //    from which nothing (hello/heartbeat/message) has been heard for

@@ -6,7 +6,7 @@
 // Layout follows the production-consensus idiom (fixed-width little-endian
 // fields, uint8 message-type enums, versioned headers, participation
 // bitmaps for quorum certificates) on the shared byte codec
-// (support/bytes.hpp), which the shard blob and the journal use too.
+// (support/bytes.hpp), which the journal uses too.
 // Design rules:
 //
 //  - Every multi-byte integer is little-endian at a fixed width.

@@ -23,23 +23,6 @@ void ByteWriter::header(std::uint32_t magic, std::uint16_t version) {
   u16(0);  // flags
 }
 
-std::size_t ByteWriter::begin_frame(std::uint16_t tag) {
-  u16(tag);
-  const std::size_t len_at = out_.size();
-  u32(0);
-  return len_at;
-}
-
-void ByteWriter::end_frame(std::size_t len_at) {
-  const std::size_t len = out_.size() - (len_at + 4);
-  if (len > 0xffffffffu) {
-    throw ByteError("cannot serialize a " + std::to_string(len) +
-                        "-byte frame: over the u32 length field",
-                    len_at);
-  }
-  patch_u32(len_at, static_cast<std::uint32_t>(len));
-}
-
 void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
   for (std::size_t i = 0; i < 4; ++i) {
     out_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));

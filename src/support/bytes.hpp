@@ -1,21 +1,18 @@
 #pragma once
 // The one byte codec under every binary format in the tree: protocol
-// frames (net/wire, "XCPM"), sweep shard blobs (exp/shard, "XCPA") and the
-// notary journal (net/wal, "XCPJ"). Each format keeps its own magic,
-// version constant and uint8 kind enum; this file owns the primitives they
-// share, so the truncation, corruption and canonical-flag properties hold
-// once, here:
+// frames (net/wire, "XCPM") and the notary journal (net/wal, "XCPJ").
+// Each format keeps its own magic, version constant and uint8 kind enum;
+// this file owns the primitives they share, so the truncation, corruption
+// and canonical-flag properties hold once, here:
 //
 //  - every integer is little-endian at a fixed width, written byte-wise,
 //    so encodings are identical across host endianness;
 //  - strings are u16-length-prefixed and capped per field;
 //  - a header is `magic u32 | version u16 | flags u16 (= 0)`;
-//  - a tagged frame is `tag u16 | len u32 | payload[len]`, the length
-//    backpatched when the frame closes;
 //  - every read is bounds-checked, and every failure is one ByteError
 //    naming the decode context and the absolute byte offset.
 //
-// docs/WIRE.md, "Byte codec", is the reference for the three formats and
+// docs/WIRE.md, "Byte codec", is the reference for the two formats and
 // the rejection taxonomy.
 
 #include <cstddef>
@@ -70,11 +67,6 @@ class ByteWriter {
 
   /// `magic u32 | version u16 | flags u16 (= 0)`.
   void header(std::uint32_t magic, std::uint16_t version);
-
-  /// Opens a `tag u16 | len u32` frame; pass the result to end_frame once
-  /// the payload is written.
-  std::size_t begin_frame(std::uint16_t tag);
-  void end_frame(std::size_t len_at);
 
   /// Overwrites the u32 at `at` (a placeholder written earlier).
   void patch_u32(std::size_t at, std::uint32_t v);

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
+#include "support/rng.hpp"
 
 namespace xcp::exp {
 namespace {
@@ -238,6 +243,125 @@ TEST(MatrixRunner, StreamingCellIsWorkerCountInvariant) {
                                       Regime::kPartialSynchrony, 2, 6);
   expect_cells_identical(nested[0], direct);
   expect_cells_identical(nested[1], direct);
+}
+
+// ------------------------------------------------ CellAccum merge contract
+
+void expect_accums_identical(const CellAccum& a, const CellAccum& b) {
+  EXPECT_EQ(a.safety_violations, b.safety_violations);
+  EXPECT_EQ(a.termination_failures, b.termination_failures);
+  EXPECT_EQ(a.liveness_failures, b.liveness_failures);
+  EXPECT_EQ(a.early_stops, b.early_stops);
+  EXPECT_EQ(a.decided_at_total.count(), b.decided_at_total.count());
+  EXPECT_EQ(a.events_total, b.events_total);
+  ASSERT_EQ(a.examples.size(), b.examples.size());
+  for (std::size_t i = 0; i < a.examples.size(); ++i) {
+    EXPECT_EQ(a.examples[i].seed, b.examples[i].seed) << i;
+    EXPECT_EQ(a.examples[i].ordinal, b.examples[i].ordinal) << i;
+    EXPECT_EQ(a.examples[i].text, b.examples[i].text) << i;
+  }
+}
+
+/// A randomized accumulator: arbitrary counters (full 64-bit range),
+/// negative decided-at sums included, 0..kMaxExamples examples with texts
+/// that cover empty strings, embedded NULs and high bytes. Example seeds
+/// are `part` modulo `parts` and strictly (seed, ordinal)-increasing, like
+/// the accumulator of one worker's share of a sweep: parts made with the
+/// same `parts` never share a seed.
+CellAccum random_accum(Rng& rng, std::uint64_t part = 0,
+                       std::uint64_t parts = 1) {
+  CellAccum acc;
+  acc.safety_violations = rng.next_u64();
+  acc.termination_failures = rng.next_u64();
+  acc.liveness_failures = rng.next_u64();
+  acc.early_stops = rng.next_u64();
+  acc.decided_at_total = Duration::micros(
+      rng.next_int(std::numeric_limits<std::int32_t>::min(),
+                   std::numeric_limits<std::int32_t>::max()));
+  acc.events_total = rng.next_u64();
+  const std::size_t n_examples = rng.next_below(CellAccum::kMaxExamples + 1);
+  std::uint64_t seed = rng.next_below(50);
+  std::uint32_t ordinal = static_cast<std::uint32_t>(rng.next_below(3));
+  for (std::size_t i = 0; i < n_examples; ++i) {
+    if (i > 0) {
+      if (rng.next_bool(0.3)) {
+        ordinal += 1 + static_cast<std::uint32_t>(rng.next_below(2));
+      } else {
+        seed += 1 + rng.next_below(9);
+        ordinal = static_cast<std::uint32_t>(rng.next_below(3));
+      }
+    }
+    CellAccum::Example ex;
+    ex.seed = seed * parts + part;
+    ex.ordinal = ordinal;
+    const std::size_t len = rng.next_below(40);
+    for (std::size_t c = 0; c < len; ++c) {
+      ex.text.push_back(static_cast<char>(rng.next_below(256)));
+    }
+    acc.examples.push_back(std::move(ex));
+  }
+  return acc;
+}
+
+TEST(CellAccumMerge, MergingADefaultAccumIsANoop) {
+  // Idle SweepPool slots fold nothing and are merged all the same, on
+  // either side of the merge.
+  Rng rng(7);
+  for (int round = 0; round < 50; ++round) {
+    const CellAccum populated = random_accum(rng);
+    CellAccum left = populated;
+    left.merge(CellAccum{});
+    expect_accums_identical(left, populated);
+    CellAccum right;
+    CellAccum copy = populated;
+    right.merge(std::move(copy));
+    expect_accums_identical(right, populated);
+  }
+  CellAccum empty;
+  empty.merge(CellAccum{});
+  expect_accums_identical(empty, CellAccum{});
+}
+
+TEST(CellAccumMerge, EveryMergeOrderGivesIdenticalFields) {
+  // k workers' parts folded in every one of the k! orders: the sums wrap
+  // alike and the example list is always the (seed, ordinal)-lowest
+  // kMaxExamples of all parts together.
+  Rng rng(99);
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t k = 1 + rng.next_below(5);
+    std::vector<CellAccum> parts;
+    for (std::size_t i = 0; i < k; ++i) {
+      parts.push_back(random_accum(rng, i, k));
+    }
+
+    CellAccum want;
+    std::vector<CellAccum::Example> all;
+    for (const CellAccum& p : parts) {
+      want.safety_violations += p.safety_violations;
+      want.termination_failures += p.termination_failures;
+      want.liveness_failures += p.liveness_failures;
+      want.early_stops += p.early_stops;
+      want.decided_at_total = want.decided_at_total + p.decided_at_total;
+      want.events_total += p.events_total;
+      all.insert(all.end(), p.examples.begin(), p.examples.end());
+    }
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      return std::pair(a.seed, a.ordinal) < std::pair(b.seed, b.ordinal);
+    });
+    all.resize(std::min(all.size(), CellAccum::kMaxExamples));
+    want.examples = all;
+
+    std::vector<std::size_t> order(k);
+    std::iota(order.begin(), order.end(), 0);
+    do {
+      CellAccum got;
+      for (const std::size_t i : order) {
+        CellAccum copy = parts[i];  // merge consumes
+        got.merge(std::move(copy));
+      }
+      expect_accums_identical(got, want);
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
 }
 
 }  // namespace

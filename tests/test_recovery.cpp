@@ -16,31 +16,25 @@
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <signal.h>
-#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "consensus/standalone.hpp"
 #include "net/node_exit.hpp"
 #include "net/wal.hpp"
+#include "node_process.hpp"
 #include "support/durable_file.hpp"
-
-extern char** environ;
 
 namespace xcp {
 namespace {
@@ -52,21 +46,6 @@ using net::WalRecoverResult;
 using net::WriteAheadLog;
 
 // ------------------------------------------------------------- helpers
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/xcp_recovery.XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
-    if (p == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = p;
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)std::system(cmd.c_str());
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
-};
 
 std::vector<std::uint8_t> read_bytes(const std::string& path) {
   AppendFile f;
@@ -542,65 +521,8 @@ TEST(Amnesia, RestoredNotaryRefusesToFlipItsPrevote) {
 
 // ----------------------------------- multi-process crash-restart harness
 
-std::string node_bin_or_skip() {
-  if (const char* env = std::getenv("XCP_NODE_BIN")) {
-    if (::access(env, X_OK) == 0) return env;
-  }
-  if (::access("./xcp_node", X_OK) == 0) return "./xcp_node";
-  return {};
-}
-
-pid_t spawn_node(const std::string& bin,
-                 const std::vector<std::string>& extra_args,
-                 const std::string& out_path) {
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, out_path.c_str(),
-                                   O_WRONLY | O_CREAT | O_APPEND, 0644);
-  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
-                                   (out_path + ".err").c_str(),
-                                   O_WRONLY | O_CREAT | O_APPEND, 0644);
-  std::vector<std::string> argv_s;
-  argv_s.push_back(bin);
-  argv_s.insert(argv_s.end(), extra_args.begin(), extra_args.end());
-  std::vector<char*> argv;
-  for (auto& s : argv_s) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  const int rc =
-      ::posix_spawn(&pid, bin.c_str(), &actions, nullptr, argv.data(),
-                    environ);
-  posix_spawn_file_actions_destroy(&actions);
-  return rc == 0 ? pid : -1;
-}
-
-int wait_exit(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 bool has_line_with(const std::string& text, const std::string& needle) {
   return text.find(needle) != std::string::npos;
-}
-
-std::string line_with_prefix(const std::string& text,
-                             const std::string& prefix) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind(prefix, 0) == 0) return line;
-  }
-  return {};
 }
 
 /// Post-run journal audit: within one node's journal there must be at most
@@ -781,6 +703,35 @@ TEST(NodeExitCodes, UsageErrorsExitTwo) {
       dir.file("out2"));
   ASSERT_GT(pid2, 0);
   EXPECT_EQ(wait_exit(pid2), net::node_exit::kUsage);
+
+  // Integer flags take whole decimal tokens: trailing junk, a sign,
+  // leading blanks, an empty token or a non-number is a usage error, never
+  // a silent 0 or a parsed prefix. Every case carries a short wall limit,
+  // so a node that misparses the token and runs still exits on its own.
+  const std::vector<std::vector<std::string>> bad_ints = {
+      {"--node-id", "4x", "--notaries", "4"},
+      {"--notaries", "4x"},
+      {"--n", "2x"},
+      {"--deal", ""},
+      {"--seed", "-1"},
+      {"--base-round-ms", "100ms"},
+      {"--heartbeat-ms", "50ms"},
+      {"--peer-timeout-ms", " 600"},
+      {"--linger-ms", "1e3"},
+      {"--wall-limit-ms", "abc"},
+      {"--peer", "1x=unix:" + dir.file("p1.sock")},
+      {"--state-dir", dir.path, "--crash-at", "prevote:torn:3x"},
+  };
+  for (std::size_t i = 0; i < bad_ints.size(); ++i) {
+    SCOPED_TRACE(bad_ints[i][0] + " '" + bad_ints[i][1] + "'");
+    std::vector<std::string> args = {"--node-id", "0", "--sock-dir",
+                                     dir.path, "--wall-limit-ms", "300"};
+    args.insert(args.end(), bad_ints[i].begin(), bad_ints[i].end());
+    const std::string out = dir.file("bad-" + std::to_string(i));
+    const pid_t p = spawn_node(bin, args, out);
+    ASSERT_GT(p, 0);
+    EXPECT_EQ(wait_exit(p), net::node_exit::kUsage) << slurp(out + ".err");
+  }
 }
 
 TEST(NodeExitCodes, CorruptJournalExitsJournalCorrupt) {

@@ -253,9 +253,11 @@ TEST(ByteCodec, PrimitivesAreLittleEndianAndRoundTrip) {
   w.i32(-2);
   w.i64(-3);
   w.str("hi", 8, "greeting");
-  const std::size_t at = w.begin_frame(7);
+  w.u16(7);
+  const std::size_t len_at = w.size();
+  w.u32(0);
   w.u8(1);
-  w.end_frame(at);
+  w.patch_u32(len_at, 1);
   const std::vector<std::uint8_t> want = {
       0x44, 0x43, 0x42, 0x41, 3, 0, 0, 0,            // header
       0xab, 0x02, 0x01, 0x06, 0x05, 0x04, 0x03,      // u8 u16 u32

@@ -7,22 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <signal.h>
-#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,9 +27,8 @@
 #include "net/socket_transport.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "node_process.hpp"
 #include "proto/bodies.hpp"
-
-extern char** environ;
 
 namespace xcp {
 namespace {
@@ -54,22 +48,6 @@ class RecordingTransport final : public net::Transport {
  public:
   void send(const Message& m) override { sent.push_back(m); }
   std::vector<Message> sent;
-};
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/xcp_transport.XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
-    if (p == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = p;
-  }
-  ~TempDir() {
-    // Best-effort cleanup of sockets and capture files.
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)std::system(cmd.c_str());
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
 };
 
 /// Pumps every transport in turn until `pred` holds or `budget` elapses.
@@ -797,63 +775,6 @@ TEST(SocketTransport, TcpEndpointsDeliverMessagesAndHeartbeats) {
 }
 
 // --------------------------------------- multi-process differential
-
-std::string node_bin_or_skip() {
-  if (const char* env = std::getenv("XCP_NODE_BIN")) {
-    if (::access(env, X_OK) == 0) return env;
-  }
-  if (::access("./xcp_node", X_OK) == 0) return "./xcp_node";
-  return {};
-}
-
-pid_t spawn_node(const std::string& bin,
-                 const std::vector<std::string>& extra_args,
-                 const std::string& out_path) {
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, out_path.c_str(),
-                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
-                                   (out_path + ".err").c_str(),
-                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  std::vector<std::string> argv_s;
-  argv_s.push_back(bin);
-  argv_s.insert(argv_s.end(), extra_args.begin(), extra_args.end());
-  std::vector<char*> argv;
-  for (auto& s : argv_s) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  const int rc =
-      ::posix_spawn(&pid, bin.c_str(), &actions, nullptr, argv.data(),
-                    environ);
-  posix_spawn_file_actions_destroy(&actions);
-  return rc == 0 ? pid : -1;
-}
-
-int wait_exit(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-std::string line_with_prefix(const std::string& text,
-                             const std::string& prefix) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind(prefix, 0) == 0) return line;
-  }
-  return {};
-}
 
 std::vector<std::uint8_t> from_hex(const std::string& hex) {
   std::vector<std::uint8_t> out;

@@ -1,11 +1,11 @@
-// Pins how the spawned worker binaries are linked. xcp_node and
-// xcp_sweep_shard start once per deal or shard, so the build links them
-// as static PIE (CMakeLists.txt, xcp_link_static_pie): position-
-// independent (ELF type ET_DYN, so ASLR still applies) with no PT_INTERP
-// (no dynamic loader runs at exec), keeping RELRO and a non-executable
-// stack. A toolchain or build change that silently falls back to the
-// dynamic link, or to a non-PIE plain -static link, fails here instead of
-// only showing up as slower process start-up.
+// Pins how the spawned node binary is linked. xcp_node starts once per
+// deal, so the build links it as static PIE (CMakeLists.txt,
+// xcp_link_static_pie): position-independent (ELF type ET_DYN, so ASLR
+// still applies) with no PT_INTERP (no dynamic loader runs at exec),
+// keeping RELRO and a non-executable stack. A toolchain or build change
+// that silently falls back to the dynamic link, or to a non-PIE plain
+// -static link, fails here instead of only showing up as slower process
+// start-up.
 
 #include <gtest/gtest.h>
 #include <link.h>
@@ -60,30 +60,26 @@ LinkMode read_link_mode(const std::string& path) {
   return m;
 }
 
-/// The binary ctest names in `env`, else the one next to the test.
-std::string worker_path(const char* env, const std::string& local) {
-  if (const char* p = std::getenv(env)) return p;
-  return local;
+/// The binary ctest names in XCP_NODE_BIN, else the one next to the test.
+std::string node_path() {
+  if (const char* p = std::getenv("XCP_NODE_BIN")) return p;
+  return "./xcp_node";
 }
 
-TEST(WorkerLink, NodeAndSweepShardAreStaticPie) {
+TEST(WorkerLink, NodeIsStaticPie) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer builds link the workers dynamically: the "
+  GTEST_SKIP() << "sanitizer builds link xcp_node dynamically: the "
                   "sanitizer runtimes need the dynamic loader";
 #endif
-  const std::string bins[] = {
-      worker_path("XCP_NODE_BIN", "./xcp_node"),
-      worker_path("XCP_SWEEP_SHARD_BIN", "./xcp_sweep_shard")};
-  for (const std::string& bin : bins) {
-    SCOPED_TRACE(bin);
-    ASSERT_EQ(::access(bin.c_str(), X_OK), 0) << "worker binary not found";
-    const LinkMode m = read_link_mode(bin);
-    ASSERT_EQ(m.error, "");
-    EXPECT_EQ(m.type, unsigned{ET_DYN}) << "not position-independent";
-    EXPECT_FALSE(m.interp) << "has a dynamic loader (PT_INTERP)";
-    EXPECT_TRUE(m.relro) << "no RELRO segment";
-    EXPECT_FALSE(m.exec_stack) << "executable stack";
-  }
+  const std::string bin = node_path();
+  SCOPED_TRACE(bin);
+  ASSERT_EQ(::access(bin.c_str(), X_OK), 0) << "node binary not found";
+  const LinkMode m = read_link_mode(bin);
+  ASSERT_EQ(m.error, "");
+  EXPECT_EQ(m.type, unsigned{ET_DYN}) << "not position-independent";
+  EXPECT_FALSE(m.interp) << "has a dynamic loader (PT_INTERP)";
+  EXPECT_TRUE(m.relro) << "no RELRO segment";
+  EXPECT_FALSE(m.exec_stack) << "executable stack";
 }
 
 }  // namespace

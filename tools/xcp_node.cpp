@@ -52,11 +52,16 @@
 //   OUTCOME value=... cert=... ...   client node, once all participants have
 //   CERT <hex>                       the decision certificate, wire-encoded
 //
-// Exit codes (net/node_exit.hpp, mirroring exp::worker_exit): 0 decided/
-// certified, 2 usage, 3 wall-clock timeout, 4 unrecoverable wire error,
-// 5 journal corrupt beyond recovery, 6 internal error.
+// Integer flags take whole non-negative decimal tokens: "4x", "abc", ""
+// and "-1" are usage errors, never a silent 0 or a truncated prefix.
+//
+// Exit codes (net/node_exit.hpp): 0 decided/certified, 2 usage, 3
+// wall-clock timeout, 4 unrecoverable wire error, 5 journal corrupt beyond
+// recovery, 6 internal error.
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,6 +114,28 @@ struct Args {
   std::exit(net::node_exit::kUsage);
 }
 
+/// The value of integer flag `flag`: a whole decimal token of at most
+/// `max`, or a usage exit. The token must start with a digit (strtoull
+/// alone would skip whitespace and accept a sign, wrapping " -1" to
+/// 2^64-1) and may have no trailing bytes.
+std::uint64_t u64_flag(const std::string& flag, const std::string& tok,
+                       std::uint64_t max = UINT64_MAX) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9' || errno != 0 ||
+      *end != '\0' || v > max) {
+    usage(("bad " + flag + " value '" + tok + "' (want a whole number <= " +
+           std::to_string(max) + ")")
+              .c_str());
+  }
+  return v;
+}
+
+std::int32_t i32_flag(const std::string& flag, const std::string& tok) {
+  return static_cast<std::int32_t>(u64_flag(flag, tok, INT32_MAX));
+}
+
 net::WalCrashPlan parse_crash_at(const std::string& spec) {
   net::WalCrashPlan plan;
   const std::size_t c1 = spec.find(':');
@@ -120,7 +147,7 @@ net::WalCrashPlan parse_crash_at(const std::string& spec) {
   std::string phase = spec.substr(c1 + 1);
   const std::size_t c2 = phase.find(':');
   if (c2 != std::string::npos) {
-    const long bytes = std::atol(phase.substr(c2 + 1).c_str());
+    const std::int32_t bytes = i32_flag("--crash-at", phase.substr(c2 + 1));
     if (bytes < 1) usage("--crash-at torn byte count must be >= 1");
     plan.torn_bytes = static_cast<std::size_t>(bytes);
     phase = phase.substr(0, c2);
@@ -155,7 +182,7 @@ Args parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--node-id") {
-      a.node_id = std::atoi(next().c_str());
+      a.node_id = i32_flag(flag, next());
     } else if (flag == "--sock-dir") {
       a.sock_dir = next();
     } else if (flag == "--listen") {
@@ -166,16 +193,15 @@ Args parse_args(int argc, char** argv) {
       if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
         usage("--peer wants N=ADDR (e.g. --peer 1=tcp:10.0.0.2:9101)");
       }
-      a.peer_addrs[std::atoi(spec.substr(0, eq).c_str())] =
-          spec.substr(eq + 1);
+      a.peer_addrs[i32_flag(flag, spec.substr(0, eq))] = spec.substr(eq + 1);
     } else if (flag == "--notaries") {
-      a.sc.notaries = std::atoi(next().c_str());
+      a.sc.notaries = i32_flag(flag, next());
     } else if (flag == "--n") {
-      a.sc.n = std::atoi(next().c_str());
+      a.sc.n = i32_flag(flag, next());
     } else if (flag == "--deal") {
-      a.sc.deal_id = std::strtoull(next().c_str(), nullptr, 10);
+      a.sc.deal_id = u64_flag(flag, next());
     } else if (flag == "--seed") {
-      a.sc.seed = std::strtoull(next().c_str(), nullptr, 10);
+      a.sc.seed = u64_flag(flag, next());
     } else if (flag == "--value") {
       const std::string v = next();
       if (v == "commit") {
@@ -186,15 +212,15 @@ Args parse_args(int argc, char** argv) {
         usage("--value must be commit or abort");
       }
     } else if (flag == "--base-round-ms") {
-      a.sc.base_round = Duration::millis(std::atol(next().c_str()));
+      a.sc.base_round = Duration::millis(i32_flag(flag, next()));
     } else if (flag == "--heartbeat-ms") {
-      a.heartbeat_ms = std::atol(next().c_str());
+      a.heartbeat_ms = i32_flag(flag, next());
     } else if (flag == "--peer-timeout-ms") {
-      a.peer_timeout_ms = std::atol(next().c_str());
+      a.peer_timeout_ms = i32_flag(flag, next());
     } else if (flag == "--wall-limit-ms") {
-      a.wall_limit_ms = std::atol(next().c_str());
+      a.wall_limit_ms = i32_flag(flag, next());
     } else if (flag == "--linger-ms") {
-      a.linger_ms = std::atol(next().c_str());
+      a.linger_ms = i32_flag(flag, next());
     } else if (flag == "--state-dir") {
       a.state_dir = next();
     } else if (flag == "--crash-at") {
