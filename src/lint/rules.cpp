@@ -442,7 +442,7 @@ void scan_loop_blocking(const Config&, const SourceFile& f,
       add(out, f, "loop-blocking", t.line,
           "'" + std::string(t.text) +
               "()' in an event-loop file that never sets O_NONBLOCK; a "
-              "slow peer stalls every other shard/peer");
+              "slow peer stalls every other peer");
     }
   }
 }

@@ -73,13 +73,4 @@ bool NodeRuntime::run(Millis wall_limit, const std::function<bool()>& done) {
   }
 }
 
-void NodeRuntime::linger(Millis extra) {
-  const auto until = wall_now() + extra;
-  while (wall_now() < until) {
-    advance_to_wall();
-    transport_.pump(kMaxPump);
-  }
-  advance_to_wall();
-}
-
 }  // namespace xcp::net

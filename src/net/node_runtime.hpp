@@ -43,11 +43,10 @@ class NodeRuntime {
   /// clock; between event slices the transport is pumped with a wait sized
   /// by the next pending virtual event, rounded up to whole milliseconds
   /// (an event fires at most 1 ms late; the loop never spins toward it).
+  /// Called again after a first run() returned, it continues on the same
+  /// clock: xcp_node's post-decision wait is run(linger cap, every peer
+  /// announced "decided").
   bool run(Millis wall_limit, const std::function<bool()>& done);
-
-  /// Keeps the clock advancing and the transport pumping for `extra` more
-  /// wall time — lets decision broadcasts and relays drain after run().
-  void linger(Millis extra);
 
  private:
   void advance_to_wall();

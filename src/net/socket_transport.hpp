@@ -195,7 +195,8 @@ class SocketTransport final : public Transport {
   std::uint32_t self_node() const { return self_; }
 
   /// Closes every fd (listener, dialed, accepted). Idempotent; the
-  /// destructor calls it.
+  /// destructor calls it. A TCP connection with nothing unacknowledged is
+  /// reset rather than shut down, so it leaves no TIME_WAIT entry behind.
   void close();
 
  private:

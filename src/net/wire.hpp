@@ -81,7 +81,7 @@ enum class WireKind : std::uint8_t {
   kBftDecision = 17, // "bft_decision"
   // -- transport control (socket_transport.cpp), no protocol body --
   kHello = 240,      // peer handshake: a = node id, b = status word (the
-                     // sender's journaled protocol state; 0 from peers that
+                     // sender's protocol state; 0 from peers that
                      // predate crash recovery — see docs/WIRE.md)
   kHeartbeat = 241,  // liveness beacon: a = sequence number
   kCatchUp = 242,    // state-transfer request from a rejoining node:
@@ -93,11 +93,13 @@ enum class WireKind : std::uint8_t {
 inline constexpr std::uint8_t kControlBase = 240;
 
 // Hello / CatchUp status word (control field `b`): bits 0-7 hold the
-// sender's journaled protocol tier — 0 fresh, 1 voted (journal holds a
-// prevote or precommit), 2 decided — and bit 8 marks a node that restored
-// state from its journal this life. Peers that predate crash recovery send
-// 0, which decodes as a fresh, non-recovered node; upper bits are reserved
-// and must be ignored on read. See docs/WIRE.md.
+// sender's protocol tier — 0 fresh, 1 voted (journal holds a prevote or
+// precommit; journaled notaries only), 2 decided (every node: a notary on
+// deciding, the client once it has certified; a node exits once every
+// peer has announced 2, --linger-ms capping the wait) — and bit 8 marks a
+// node that restored state from its journal this life. Peers that predate
+// crash recovery send 0, which decodes as a fresh, non-recovered node;
+// upper bits are reserved and must be ignored on read. See docs/WIRE.md.
 inline constexpr std::uint64_t kHelloStatusRecovered = std::uint64_t{1} << 8;
 
 inline constexpr std::uint64_t hello_status_word(std::uint32_t tier,

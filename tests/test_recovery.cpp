@@ -706,8 +706,10 @@ TEST(NodeExitCodes, UsageErrorsExitTwo) {
 
   // Integer flags take whole decimal tokens: trailing junk, a sign,
   // leading blanks, an empty token or a non-number is a usage error, never
-  // a silent 0 or a parsed prefix. Every case carries a short wall limit,
-  // so a node that misparses the token and runs still exits on its own.
+  // a silent 0 or a parsed prefix. So is a zero round timer, which would
+  // spin at one virtual instant past any wall limit. Every case carries a
+  // short wall limit, so a node that misparses the token and runs still
+  // exits on its own.
   const std::vector<std::vector<std::string>> bad_ints = {
       {"--node-id", "4x", "--notaries", "4"},
       {"--notaries", "4x"},
@@ -715,6 +717,7 @@ TEST(NodeExitCodes, UsageErrorsExitTwo) {
       {"--deal", ""},
       {"--seed", "-1"},
       {"--base-round-ms", "100ms"},
+      {"--base-round-ms", "0"},
       {"--heartbeat-ms", "50ms"},
       {"--peer-timeout-ms", " 600"},
       {"--linger-ms", "1e3"},

@@ -15,9 +15,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -774,6 +776,59 @@ TEST(SocketTransport, TcpEndpointsDeliverMessagesAndHeartbeats) {
   EXPECT_TRUE(b.peer_up(0));
 }
 
+/// How many IPv4 TCP sockets in TIME_WAIT have `port` at either end
+/// (/proc/net/tcp: "sl local rem st ...", addresses as HEXIP:HEXPORT, state
+/// 06 = TIME_WAIT).
+int time_wait_entries(int port) {
+  std::istringstream in(slurp("/proc/net/tcp"));
+  std::string line;
+  std::getline(in, line);  // header
+  int n = 0;
+  while (std::getline(in, line)) {
+    std::istringstream f(line);
+    std::string sl, local, remote, state;
+    f >> sl >> local >> remote >> state;
+    const auto port_of = [](const std::string& a) {
+      return std::stoi(a.substr(a.find(':') + 1), nullptr, 16);
+    };
+    if (state == "06" && (port_of(local) == port || port_of(remote) == port)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(SocketTransport, TcpCloseLeavesNoTimeWait) {
+  // Every committee opens 20 loopback connections. Closed with a FIN, each
+  // holds a local port in TIME_WAIT for a minute, and committees run back
+  // to back use up the ephemeral range. A quiet connection therefore
+  // closes with a reset, which leaves no TIME_WAIT at either end.
+  const int base = tcp_base_port() + 2;  // clear of the test above
+  const std::string addr_a = "tcp:127.0.0.1:" + std::to_string(base);
+  const std::string addr_b = "tcp:127.0.0.1:" + std::to_string(base + 1);
+  {
+    net::SocketTransport a(0, addr_a, fast_opts());
+    net::SocketTransport b(1, addr_b, fast_opts());
+    a.add_peer(1, addr_b);
+    b.add_peer(0, addr_a);
+    a.map_pid(sim::ProcessId(5), 1);
+    std::vector<Message> got;
+    b.set_receive_handler([&](Message&& m) { got.push_back(std::move(m)); });
+    a.send(money_message(9, 4, 5, 1234));
+    ASSERT_TRUE(pump_until({&a, &b},
+                           [&] {
+                             return !got.empty() &&
+                                    a.stats().heartbeats_received > 0 &&
+                                    b.stats().heartbeats_received > 0;
+                           },
+                           3000ms));
+    a.close();
+    b.close();
+  }
+  EXPECT_EQ(time_wait_entries(base), 0);
+  EXPECT_EQ(time_wait_entries(base + 1), 0);
+}
+
 // --------------------------------------- multi-process differential
 
 std::vector<std::uint8_t> from_hex(const std::string& hex) {
@@ -945,6 +1000,163 @@ TEST(NodeCommittee, SurvivesKillNineOfOneNotary) {
   }
   EXPECT_TRUE(seen_peer_down)
       << "no survivor reported the killed notary down";
+}
+
+// ------------------------------------------ decide-and-exit (linger cap)
+
+/// What became of one spawned node: its exit code and when it was first
+/// seen gone, in ms since the test's reference instant.
+struct TimedExit {
+  int code = -1;
+  std::int64_t at_ms = -1;
+};
+
+std::int64_t ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Reaps every pid, polling every 2 ms so each exit time is stamped when
+/// it happens rather than when a blocking wait on an earlier pid returns.
+/// `each_poll` runs once per poll (e.g. to watch an output file).
+std::vector<TimedExit> reap_timed(const std::vector<pid_t>& pids,
+                                  std::chrono::steady_clock::time_point t0,
+                                  const std::function<void()>& each_poll) {
+  std::vector<TimedExit> out(pids.size());
+  std::size_t left = pids.size();
+  while (left > 0) {
+    each_poll();
+    for (std::size_t i = 0; i < pids.size(); ++i) {
+      if (out[i].at_ms >= 0) continue;
+      int status = 0;
+      const pid_t r = ::waitpid(pids[i], &status, WNOHANG);
+      if (r == 0) continue;
+      out[i].at_ms = ms_since(t0);
+      if (r == pids[i] && WIFEXITED(status)) out[i].code = WEXITSTATUS(status);
+      if (r == pids[i] && WIFSIGNALED(status)) {
+        out[i].code = 128 + WTERMSIG(status);
+      }
+      --left;
+    }
+    std::this_thread::sleep_for(2ms);
+  }
+  each_poll();
+  return out;
+}
+
+TEST(NodeCommittee, DecidedCommitteeExitsLongBeforeItsLingerCap) {
+  const std::string bin = node_bin_or_skip();
+  if (bin.empty()) GTEST_SKIP() << "xcp_node binary not found";
+
+  // Every node announces "decided" in its Hello status word, so once the
+  // client has certified nobody waits for anybody: the whole committee is
+  // gone in a deal's time, not after the 5 s cap.
+  consensus::StandaloneCommittee sc;
+  const auto ref = run_standalone_sim(sc);
+  ASSERT_TRUE(ref.value.has_value()) << "reference run undecided";
+  constexpr std::int64_t kCapMs = 5000;
+  TempDir dir;
+  const std::vector<std::string> common = {
+      "--sock-dir",      dir.path, "--linger-ms", std::to_string(kCapMs),
+      "--wall-limit-ms", "30000"};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<pid_t> pids;
+  for (int k = 0; k <= sc.notaries; ++k) {
+    auto args = common;
+    args.insert(args.end(), {"--node-id", std::to_string(k)});
+    const pid_t pid =
+        spawn_node(bin, args, dir.file("out-" + std::to_string(k)));
+    ASSERT_GT(pid, 0);
+    pids.push_back(pid);
+  }
+  const std::vector<TimedExit> exits = reap_timed(pids, t0, [] {});
+  const std::string decided =
+      std::string("DECIDED value=") + consensus::value_name(*ref.value);
+  for (int k = 0; k <= sc.notaries; ++k) {
+    SCOPED_TRACE("node " + std::to_string(k));
+    EXPECT_EQ(exits[k].code, 0)
+        << slurp(dir.file("out-" + std::to_string(k) + ".err"));
+    EXPECT_LT(exits[k].at_ms, 1500) << "waited toward the " << kCapMs
+                                    << " ms cap with every peer decided";
+    const std::string out = slurp(dir.file("out-" + std::to_string(k)));
+    if (k < sc.notaries) {
+      EXPECT_NE(out.find(decided + " node=" + std::to_string(k)),
+                std::string::npos)
+          << out;
+    } else {
+      EXPECT_EQ(line_with_prefix(out, "OUTCOME "),
+                "OUTCOME " + ref.canonical())
+          << out;
+    }
+  }
+}
+
+TEST(NodeCommittee, SilentPeerHoldsSurvivorsToTheirLingerCap) {
+  const std::string bin = node_bin_or_skip();
+  if (bin.empty()) GTEST_SKIP() << "xcp_node binary not found";
+
+  // A notary killed with kill -9 never announces "decided", so every
+  // survivor (and the client) stays up the whole cap to serve it catch-up
+  // should it come back. The client still prints its outcome at once: only
+  // the exit waits.
+  consensus::StandaloneCommittee sc;
+  constexpr std::int64_t kCapMs = 2000;
+  TempDir dir;
+  const std::vector<std::string> common = {
+      "--sock-dir",      dir.path, "--linger-ms", std::to_string(kCapMs),
+      "--wall-limit-ms", "30000"};
+  std::vector<pid_t> pids;
+  for (int k = 0; k < sc.notaries; ++k) {
+    auto args = common;
+    args.insert(args.end(), {"--node-id", std::to_string(k)});
+    const pid_t pid =
+        spawn_node(bin, args, dir.file("out-" + std::to_string(k)));
+    ASSERT_GT(pid, 0);
+    pids.push_back(pid);
+  }
+  std::this_thread::sleep_for(500ms);  // let the notary mesh come up
+  const int victim = sc.notaries - 1;
+  ASSERT_EQ(::kill(pids[victim], SIGKILL), 0);
+  EXPECT_EQ(wait_exit(pids[victim]), 128 + SIGKILL);
+  pids.erase(pids.begin() + victim);
+
+  // Every survivor decides after the client starts, so none may exit
+  // sooner than the cap after this instant.
+  const auto t_client = std::chrono::steady_clock::now();
+  auto client_args = common;
+  client_args.insert(client_args.end(),
+                     {"--node-id", std::to_string(sc.notaries)});
+  const pid_t client = spawn_node(bin, client_args, dir.file("out-client"));
+  ASSERT_GT(client, 0);
+  pids.push_back(client);
+  std::int64_t outcome_ms = -1;
+  const std::vector<TimedExit> exits = reap_timed(pids, t_client, [&] {
+    if (outcome_ms < 0 &&
+        !line_with_prefix(slurp(dir.file("out-client")), "CERT ").empty()) {
+      outcome_ms = ms_since(t_client);
+    }
+  });
+
+  const std::string out = slurp(dir.file("out-client"));
+  EXPECT_NE(line_with_prefix(out, "OUTCOME ").find("quorum=valid"),
+            std::string::npos)
+      << out;
+  EXPECT_GE(outcome_ms, 0);
+  EXPECT_LT(outcome_ms, kCapMs / 2)
+      << "the outcome waited for the silent peer's cap";
+  for (std::size_t i = 0; i < pids.size(); ++i) {
+    const bool is_client = i + 1 == pids.size();
+    const std::string name =
+        is_client ? "out-client" : "out-" + std::to_string(i);
+    SCOPED_TRACE(name);
+    EXPECT_EQ(exits[i].code, 0) << slurp(dir.file(name + ".err"));
+    EXPECT_GE(exits[i].at_ms, kCapMs) << "left before the linger cap";
+    if (!is_client) {
+      EXPECT_NE(slurp(dir.file(name)).find("DECIDED value=commit"),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace

@@ -27,6 +27,14 @@
 // injector (KIND = prevote|precommit|decide, PHASE = before|torn|after;
 // torn takes the byte count that reaches the file) for the restart harness.
 //
+// Decide and exit: every node announces tier 2 ("decided") in its Hello
+// status word once it is done — a notary when it decides, the client once
+// every participant holds the certificate and OUTCOME/CERT are printed —
+// and exits as soon as every peer has announced tier 2 too. Until then it
+// keeps pumping: relaying the decision and answering catch-up. --linger-ms
+// caps that wait, so a peer that is down, silent or behind keeps the
+// survivors up for at most the cap.
+//
 // Start-up order: journal, then listener, then the first pump. The journal
 // is opened and recovered before the socket is bound, so "listening" means
 // "ready to pump": a peer that connects never waits out the journal's
@@ -39,7 +47,7 @@
 //            [--deal 13] [--seed 7] [--value commit|abort]
 //            [--base-round-ms 100] [--heartbeat-ms 50]
 //            [--peer-timeout-ms 600] [--wall-limit-ms 15000]
-//            [--linger-ms 300]
+//            [--linger-ms 300]   (cap on the post-decision wait)
 //            [--state-dir DIR] [--crash-at KIND:PHASE[:BYTES]]
 //            [--journal-compact]
 //
@@ -54,6 +62,7 @@
 //
 // Integer flags take whole non-negative decimal tokens: "4x", "abc", ""
 // and "-1" are usage errors, never a silent 0 or a truncated prefix.
+// --base-round-ms must also be at least 1.
 //
 // Exit codes (net/node_exit.hpp): 0 decided/certified, 2 usage, 3
 // wall-clock timeout, 4 unrecoverable wire error, 5 journal corrupt beyond
@@ -212,7 +221,11 @@ Args parse_args(int argc, char** argv) {
         usage("--value must be commit or abort");
       }
     } else if (flag == "--base-round-ms") {
-      a.sc.base_round = Duration::millis(i32_flag(flag, next()));
+      // A zero round timer fires forever at one virtual instant, so the
+      // runtime never gets back to the wall clock (or its wall limit).
+      const std::int32_t ms = i32_flag(flag, next());
+      if (ms < 1) usage("--base-round-ms must be >= 1");
+      a.sc.base_round = Duration::millis(ms);
     } else if (flag == "--heartbeat-ms") {
       a.heartbeat_ms = i32_flag(flag, next());
     } else if (flag == "--peer-timeout-ms") {
@@ -354,8 +367,21 @@ int run_node(const Args& args) {
         pending_catchup.insert(node);
         serve_catchups();
       });
+  // The highest tier each node has announced in its Hello status word; a
+  // node is done with the committee once every peer has announced tier 2.
+  std::vector<std::uint32_t> peer_tier(static_cast<std::size_t>(m) + 1, 0);
+  auto every_peer_decided = [&] {
+    for (int node = 0; node <= m; ++node) {
+      if (node != args.node_id && peer_tier[node] < 2) return false;
+    }
+    return true;
+  };
   transport.set_peer_status_handler(
       [&](std::uint32_t node, std::uint64_t status) {
+        if (node < peer_tier.size()) {
+          peer_tier[node] =
+              std::max(peer_tier[node], net::hello_status_tier(status));
+        }
         // A peer that recovered from its journal but is not yet decided owes
         // nothing to us — but we may owe it the decision. Treat the Hello as
         // an implicit catch-up request (crash-before-vote rejoiners whose
@@ -366,6 +392,18 @@ int run_node(const Args& args) {
           serve_catchups();
         }
       });
+  // Decide and exit (see the file comment): announce tier 2, answer the
+  // catch-up requests already pending, then keep relaying and answering
+  // until every peer has announced tier 2 or the --linger-ms cap is spent.
+  // The closing zero-wait pump makes the dial that a last-moment Hello made
+  // due, so a rejoiner that just spoke up hears this node's tier 2 before
+  // it leaves instead of waiting out its own cap.
+  auto announce_decided_and_wait = [&](bool recovered) {
+    transport.set_hello_status(net::hello_status_word(2, recovered));
+    serve_catchups();
+    runtime.run(linger, every_peer_decided);
+    transport.pump(std::chrono::milliseconds(0));
+  };
   // Only notary peers rejoin rounds; a decision sent to their protocol pid
   // is idempotent for receivers that already decided.
   auto notary_peer = [&](std::uint32_t node) {
@@ -430,13 +468,7 @@ int run_node(const Args& args) {
         runtime.run(wall_limit, [&] { return notary.decided(); });
     if (decided) {
       transport.cancel_catchup();
-      if (wal) {
-        transport.set_hello_status(net::hello_status_word(2, recovered));
-      }
-      serve_catchups();
-      // Give the decision broadcast, relays and catch-up answers time to
-      // drain (rejoiners may dial in during the linger window).
-      runtime.linger(linger);
+      announce_decided_and_wait(recovered);
       std::printf("DECIDED value=%s node=%d\n",
                   consensus::value_name(*notary.decision()), args.node_id);
       std::fflush(stdout);
@@ -500,10 +532,6 @@ int run_node(const Args& args) {
                  args.wall_limit_ms);
     return net::node_exit::kTimeout;
   }
-  transport.set_hello_status(net::hello_status_word(2, false));
-  serve_catchups();
-  runtime.linger(linger);
-
   consensus::CommitteeOutcome outcome;
   outcome.value = collectors[0]->value();
   outcome.cert = collectors[0]->cert();
@@ -516,6 +544,10 @@ int run_node(const Args& args) {
   std::printf("CERT %s\n",
               hex_of(net::serialize_certificate(outcome.cert, wctx)).c_str());
   std::fflush(stdout);
+  // Announced only after the outcome is out: a notary may exit as soon as
+  // it hears this, and a harness watching for OUTCOME still finds every
+  // notary alive when the line arrives.
+  announce_decided_and_wait(false);
   return net::node_exit::kDecided;
 }
 
