@@ -9,7 +9,6 @@
 
 #include "anta/render.hpp"
 #include "exp/scenario.hpp"
-#include "ledger/escrow.hpp"
 #include "proto/figure2.hpp"
 #include "proto/timebounded.hpp"
 #include "support/table.hpp"
@@ -31,15 +30,6 @@ int main() {
   }
   ctx->schedule =
       proto::TimelockSchedule::drift_compensated(n, exp::default_timing());
-  // Ledger et al. are not needed just to print structure; the builders only
-  // capture them inside callbacks.
-  ledger::Ledger ledger;
-  ledger::EscrowRegistry escrows(ledger);
-  crypto::KeyRegistry keys(1);
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
-  ctx->bob_signer = keys.signer_for(ctx->parts.bob());
 
   std::cout << "== FIG2-automata: the protocol as an Asynchronous Network of "
                "Timed Automata ==\n\n";

@@ -5,6 +5,7 @@
 namespace xcp::anta {
 
 StateId Automaton::add_state(std::string name, StateKind kind) {
+  validated_ = false;
   states_.push_back(State{std::move(name), kind});
   return static_cast<StateId>(states_.size() - 1);
 }
@@ -14,9 +15,15 @@ VarId Automaton::add_var(std::string name) {
   return static_cast<VarId>(vars_.size() - 1);
 }
 
+SlotId Automaton::add_slot(std::string name) {
+  slots_.push_back(std::move(name));
+  return static_cast<SlotId>(slots_.size() - 1);
+}
+
 void Automaton::set_initial(StateId s) {
   XCP_REQUIRE(s >= 0 && static_cast<std::size_t>(s) < states_.size(),
               "bad initial state");
+  validated_ = false;
   initial_ = s;
 }
 
@@ -32,6 +39,7 @@ Transition& Automaton::add_receive(StateId from, StateId to,
   t.label = label.empty() ? "r(p" + std::to_string(sender.value()) + "," +
                                 kind.str() + ")"
                           : std::move(label);
+  validated_ = false;
   transitions_.push_back(std::move(t));
   return transitions_.back();
 }
@@ -46,6 +54,7 @@ Transition& Automaton::add_timeout(StateId from, StateId to, TimeGuard guard,
   t.label = label.empty() ? "now >= " + vars_.at(guard.var) + " + " +
                                 guard.offset.str()
                           : std::move(label);
+  validated_ = false;
   transitions_.push_back(std::move(t));
   return transitions_.back();
 }
@@ -61,19 +70,13 @@ Transition& Automaton::set_send(StateId from, StateId to, sim::ProcessId dest,
   t.label = label.empty()
                 ? "s(p" + std::to_string(dest.value()) + "," + kind.str() + ")"
                 : std::move(label);
+  validated_ = false;
   transitions_.push_back(std::move(t));
   return transitions_.back();
 }
 
-std::vector<const Transition*> Automaton::out_of(StateId s) const {
-  std::vector<const Transition*> out;
-  for (const auto& t : transitions_) {
-    if (t.from == s) out.push_back(&t);
-  }
-  return out;
-}
-
-void Automaton::validate() const {
+void Automaton::validate() {
+  validated_ = false;
   XCP_REQUIRE(initial_ != kNoState, "automaton '" + name_ + "' has no initial state");
   for (const auto& t : transitions_) {
     XCP_REQUIRE(t.from >= 0 && static_cast<std::size_t>(t.from) < states_.size(),
@@ -98,25 +101,32 @@ void Automaton::validate() const {
                   "guard references unknown clock variable");
     }
   }
+
+  // Index the exits, grouped by source state and stable within a state
+  // (declaration order is matching priority): a counting sort.
+  exit_begin_.assign(states_.size() + 1, 0);
+  for (const auto& t : transitions_) ++exit_begin_[t.from + 1];
+  for (std::size_t s = 0; s < states_.size(); ++s) {
+    exit_begin_[s + 1] += exit_begin_[s];
+  }
+  exits_.assign(transitions_.size(), nullptr);
+  std::vector<std::size_t> fill(exit_begin_.begin(), exit_begin_.end() - 1);
+  for (const auto& t : transitions_) exits_[fill[t.from]++] = &t;
+
+  final_labels_.assign(states_.size(), props::Label());
   for (StateId s = 0; static_cast<std::size_t>(s) < states_.size(); ++s) {
+    const std::size_t exits = exit_begin_[s + 1] - exit_begin_[s];
     if (states_[s].kind == StateKind::kOutput) {
-      int sends = 0;
-      for (const auto& t : transitions_) {
-        if (t.from == s) {
-          XCP_REQUIRE(t.kind == Transition::Kind::kSend,
-                      "output state with non-send exit");
-          ++sends;
-        }
-      }
-      XCP_REQUIRE(sends == 1, "output state '" + states_[s].name +
+      // Every exit of an output state is a send (checked above).
+      XCP_REQUIRE(exits == 1, "output state '" + states_[s].name +
                                   "' must have exactly one send exit");
     }
     if (states_[s].kind == StateKind::kFinal) {
-      for (const auto& t : transitions_) {
-        XCP_REQUIRE(t.from != s, "final state must have no exits");
-      }
+      XCP_REQUIRE(exits == 0, "final state must have no exits");
+      final_labels_[s] = props::Label(states_[s].name);
     }
   }
+  validated_ = true;
 }
 
 }  // namespace xcp::anta

@@ -17,14 +17,19 @@
 // runs one instance of it as a network actor. Effects and validations attach
 // to transitions as callbacks, so protocol semantics (ledger movements,
 // certificate verification) live with the protocol builder, not the engine.
+// validate() checks the structure once and indexes each state's exits, so
+// one validated automaton can back any number of interpreters and runs.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "net/message.hpp"
+#include "props/label.hpp"
+#include "support/status.hpp"
 #include "support/time.hpp"
 
 namespace xcp::anta {
@@ -33,6 +38,7 @@ class Interpreter;
 
 using StateId = int;
 using VarId = int;
+using SlotId = int;
 inline constexpr StateId kNoState = -1;
 
 enum class StateKind {
@@ -80,9 +86,15 @@ struct Transition {
 class Automaton {
  public:
   explicit Automaton(std::string name) : name_(std::move(name)) {}
+  // A copy's exit index would point into the original's transitions.
+  Automaton(const Automaton&) = delete;
+  Automaton& operator=(const Automaton&) = delete;
 
   StateId add_state(std::string name, StateKind kind);
   VarId add_var(std::string name);
+  /// A per-instance integer slot for protocol data (a receipt id, an
+  /// escrow deal id); see Interpreter::slot.
+  SlotId add_slot(std::string name);
 
   void set_initial(StateId s);
 
@@ -105,14 +117,29 @@ class Automaton {
   std::size_t state_count() const { return states_.size(); }
   std::size_t var_count() const { return vars_.size(); }
   const std::string& var_name(VarId v) const { return vars_.at(v); }
+  std::size_t slot_count() const { return slots_.size(); }
+  const std::string& slot_name(SlotId s) const { return slots_.at(s); }
 
   /// Transitions leaving `s`, in declaration order (matching priority).
-  std::vector<const Transition*> out_of(StateId s) const;
+  /// A view into the index validate() built; requires validated().
+  std::span<const Transition* const> out_of(StateId s) const {
+    XCP_REQUIRE(validated_, "out_of on an unvalidated automaton");
+    return {exits_.data() + exit_begin_[s],
+            exits_.data() + exit_begin_[s + 1]};
+  }
   const std::vector<Transition>& transitions() const { return transitions_; }
 
   /// Structural validation: initial set, output states have exactly one
   /// send exit, receive/timeout only leave input states, all targets exist.
-  void validate() const;
+  /// On success, indexes every state's exits and marks the automaton
+  /// validated; a later add_state, transition or set_initial clears the
+  /// mark.
+  void validate();
+  bool validated() const { return validated_; }
+
+  /// The Terminate trace label of final state `s`, interned by validate()
+  /// so that a termination does not look its name up again.
+  props::Label final_label(StateId s) const { return final_labels_.at(s); }
 
  private:
   struct State {
@@ -122,8 +149,14 @@ class Automaton {
   std::string name_;
   std::vector<State> states_;
   std::vector<std::string> vars_;
+  std::vector<std::string> slots_;
   std::vector<Transition> transitions_;
   StateId initial_ = kNoState;
+  // Exits of state s: exits_[exit_begin_[s] .. exit_begin_[s + 1]).
+  std::vector<const Transition*> exits_;
+  std::vector<std::size_t> exit_begin_;
+  std::vector<props::Label> final_labels_;  // default for non-final states
+  bool validated_ = false;
 };
 
 }  // namespace xcp::anta

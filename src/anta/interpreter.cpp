@@ -8,11 +8,15 @@
 namespace xcp::anta {
 
 Interpreter::Interpreter(std::shared_ptr<const Automaton> automaton,
-                         Duration processing_bound)
-    : automaton_(std::move(automaton)), processing_bound_(processing_bound) {
+                         Duration processing_bound, Bindings* bindings)
+    : automaton_(std::move(automaton)),
+      processing_bound_(processing_bound),
+      bindings_(bindings) {
   XCP_REQUIRE(automaton_ != nullptr, "null automaton");
-  automaton_->validate();
+  XCP_REQUIRE(automaton_->validated(),
+              "automaton '" + automaton_->name() + "' is not validated");
   vars_.assign(automaton_->var_count(), TimePoint::origin());
+  slots_.assign(automaton_->slot_count(), std::nullopt);
 }
 
 TimePoint Interpreter::var(VarId v) const {
@@ -25,27 +29,38 @@ void Interpreter::assign_now(VarId v) {
   vars_[v] = local_now();
 }
 
-std::uint64_t Interpreter::slot(const std::string& key) const {
-  auto it = slots_.find(key);
-  XCP_REQUIRE(it != slots_.end(), "missing slot: " + key);
-  return it->second;
+std::uint64_t Interpreter::slot(SlotId s) const {
+  XCP_REQUIRE(has_slot(s), "missing slot: " + automaton_->slot_name(s));
+  return *slots_[static_cast<std::size_t>(s)];
 }
 
-bool Interpreter::has_slot(const std::string& key) const {
-  return slots_.count(key) != 0;
+bool Interpreter::has_slot(SlotId s) const {
+  XCP_REQUIRE(s >= 0 && static_cast<std::size_t>(s) < slots_.size(),
+              "bad slot");
+  return slots_[static_cast<std::size_t>(s)].has_value();
 }
 
-void Interpreter::set_slot(const std::string& key, std::uint64_t value) {
-  slots_[key] = value;
+void Interpreter::set_slot(SlotId s, std::uint64_t value) {
+  XCP_REQUIRE(s >= 0 && static_cast<std::size_t>(s) < slots_.size(),
+              "bad slot");
+  slots_[static_cast<std::size_t>(s)] = value;
 }
 
 net::BodyPtr Interpreter::stashed(net::MsgKind key) const {
-  auto it = stash_.find(key);
-  return it == stash_.end() ? nullptr : it->second;
+  for (const auto& [kind, body] : stash_) {
+    if (kind == key) return body;
+  }
+  return nullptr;
 }
 
 void Interpreter::stash(net::MsgKind key, net::BodyPtr body) {
-  stash_[key] = std::move(body);
+  for (auto& [kind, held] : stash_) {
+    if (kind == key) {
+      held = std::move(body);
+      return;
+    }
+  }
+  stash_.emplace_back(key, std::move(body));
 }
 
 void Interpreter::schedule_crash_at(TimePoint global_time) {
@@ -74,11 +89,9 @@ void Interpreter::enter(StateId s) {
       return;
     }
     case StateKind::kOutput: {
-      // Bounded computation, then the unique send exit.
-      const auto outs = automaton_->out_of(s);
-      XCP_REQUIRE(outs.size() == 1 && outs[0]->kind == Transition::Kind::kSend,
-                  "output state exits malformed");
-      pending_send_ = outs[0];
+      // Bounded computation, then the unique send exit (validate() made
+      // sure there is exactly one).
+      pending_send_ = automaton_->out_of(s).front();
       const Duration d =
           rng().next_duration(Duration::zero(), processing_bound_);
       sim().schedule_after(d, [this] { on_timer(kSendToken); });
@@ -108,7 +121,7 @@ void Interpreter::enter(StateId s) {
 
 void Interpreter::arm_timeouts() {
   disarm_timeouts();
-  const auto outs = automaton_->out_of(state_);
+  const std::span<const Transition* const> outs = automaton_->out_of(state_);
   for (std::size_t i = 0; i < outs.size(); ++i) {
     const Transition* t = outs[i];
     if (t->kind != Transition::Kind::kTimeout) continue;
@@ -138,7 +151,7 @@ Interpreter::Consume Interpreter::try_consume(const net::Message& m) {
     }
     // Matched: stash the body under the message kind so effects/forwards can
     // use it, run the effect, move on.
-    if (m.body) stash_[m.kind] = m.body;
+    if (m.body) stash(m.kind, m.body);
     disarm_timeouts();
     take(*t);
     return Consume::kTaken;
@@ -208,7 +221,7 @@ void Interpreter::on_timer(std::uint64_t token) {
   // actually holds now (it does by construction of to_global, but a stale
   // timer could race with a state change — armed timers are cancelled on
   // transition, so reaching here means the state is unchanged).
-  const auto outs = automaton_->out_of(state_);
+  const std::span<const Transition* const> outs = automaton_->out_of(state_);
   XCP_REQUIRE(token < outs.size(), "stale timeout token");
   const Transition* t = outs[token];
   XCP_REQUIRE(t->kind == Transition::Kind::kTimeout, "token not a timeout");
@@ -225,7 +238,7 @@ void Interpreter::record_terminate() {
   e.at = terminated_global_;
   e.local_at = terminated_local_;
   e.actor = id();
-  e.label = automaton_->state_name(state_);
+  e.label = automaton_->final_label(state_);
   net().trace()->record(e);
 }
 

@@ -18,13 +18,17 @@
 // participant runs the honest automaton but its sends can be dropped,
 // delayed or substituted (see proto/byzantine.hpp). This mirrors the model:
 // a Byzantine process may do anything *except* forge signatures or receipts.
+//
+// The automaton is shared and read-only: many interpreters, across runs,
+// may run one validated Automaton. What differs between runs (a ledger, a
+// key registry, a trace) reaches the transition callbacks through the
+// interpreter's Bindings.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "anta/automaton.hpp"
@@ -49,12 +53,22 @@ struct SendAction {
   }
 };
 
+/// Base of the per-run objects a protocol's callbacks act on. anta never
+/// looks inside: a callback casts back with Interpreter::bindings<B>().
+class Bindings {
+ protected:
+  Bindings() = default;
+  ~Bindings() = default;
+};
+
 class Interpreter : public net::Actor {
  public:
   /// `processing_bound` is the true-time bound on output-state computation
   /// (the paper's epsilon); the interpreter samples uniformly within it.
+  /// `automaton` must already be validated; `bindings` (may be null when
+  /// no callback asks for them) must outlive the interpreter.
   Interpreter(std::shared_ptr<const Automaton> automaton,
-              Duration processing_bound);
+              Duration processing_bound, Bindings* bindings = nullptr);
 
   // --- configuration (before the simulation starts) ---
 
@@ -74,11 +88,19 @@ class Interpreter : public net::Actor {
   TimePoint var(VarId v) const;
   void assign_now(VarId v);
 
-  /// Free-form per-instance slots for protocol data (receipt ids, promised
-  /// durations as microsecond counts, etc.).
-  std::uint64_t slot(const std::string& key) const;
-  bool has_slot(const std::string& key) const;
-  void set_slot(const std::string& key, std::uint64_t value);
+  /// Per-instance integer slots for protocol data (receipt ids, escrow
+  /// deal ids), declared with Automaton::add_slot. Reading an unset slot
+  /// throws.
+  std::uint64_t slot(SlotId s) const;
+  bool has_slot(SlotId s) const;
+  void set_slot(SlotId s, std::uint64_t value);
+
+  /// The run's bindings, as the protocol's own type B.
+  template <typename B>
+  B& bindings() const {
+    XCP_REQUIRE(bindings_ != nullptr, "interpreter has no run bindings");
+    return static_cast<B&>(*bindings_);
+  }
 
   /// Retained message bodies, keyed by message kind (e.g. the received
   /// certificate, to be forwarded later).
@@ -122,11 +144,13 @@ class Interpreter : public net::Actor {
 
   std::shared_ptr<const Automaton> automaton_;
   Duration processing_bound_;
+  Bindings* bindings_;
   StateId state_ = kNoState;
   std::vector<TimePoint> vars_;
-  std::unordered_map<std::string, std::uint64_t> slots_;
-  std::unordered_map<net::MsgKind, net::BodyPtr> stash_;
-  std::deque<net::Message> pending_;
+  std::vector<std::optional<std::uint64_t>> slots_;
+  // A handful of kinds per automaton: a linear scan beats hashing.
+  std::vector<std::pair<net::MsgKind, net::BodyPtr>> stash_;
+  std::vector<net::Message> pending_;  // buffered arrivals, oldest first
   std::vector<sim::TimerId> armed_timers_;
   SendInterceptor interceptor_;
   CompletionFn on_final_;

@@ -117,12 +117,4 @@ int Digraph::eccentricity(int source) const {
   return ecc;
 }
 
-int Digraph::diameter() const {
-  int diam = 0;
-  for (int v = 0; v < vertex_count(); ++v) {
-    diam = std::max(diam, eccentricity(v));
-  }
-  return diam;
-}
-
 }  // namespace xcp::deals

@@ -33,10 +33,6 @@ class Digraph {
   /// Longest finite BFS distance from `source`.
   int eccentricity(int source) const;
 
-  /// max over vertices of eccentricity (only meaningful if strongly
-  /// connected; returns the max finite distance otherwise).
-  int diameter() const;
-
  private:
   std::vector<std::vector<int>> adj_;
 };

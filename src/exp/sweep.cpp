@@ -30,9 +30,12 @@ SweepPool::~SweepPool() {
 
 unsigned SweepPool::resolved_workers(std::size_t count, unsigned workers) {
   if (count == 0) return 1;
-  unsigned w = workers != 0
-                   ? workers
-                   : std::max(1u, std::thread::hardware_concurrency());
+  // Asked once per process: glibc answers hardware_concurrency() by
+  // reading /sys on every call, and a one-seed sweep would pay that read
+  // (twice: here and in run()) for every seed.
+  static const unsigned hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  const unsigned w = workers != 0 ? workers : hardware;
   return static_cast<unsigned>(std::min<std::size_t>(w, count));
 }
 

@@ -56,10 +56,12 @@ class SweepPool {
   void run(std::uint64_t first_seed, std::size_t count, unsigned workers,
            Task task, void* ctx);
 
-  /// The worker count run() will actually use for `count` units and a
-  /// `workers` request (0 = hardware concurrency): how many worker-local
-  /// accumulator slots a streaming sweep needs. Nested sweeps (from inside
-  /// a sweep task) run inline on one thread.
+  /// How many worker-local accumulator slots a streaming sweep of `count`
+  /// units needs for a `workers` request: the request clamped to `count`,
+  /// with 0 meaning the hardware thread count (asked once per process and
+  /// then reused), and 1 when `count` is 0 or 1. It is an upper bound on
+  /// the ordinals run() hands out: a nested sweep (from inside a sweep
+  /// task) runs inline as ordinal 0, leaving the other slots untouched.
   static unsigned resolved_workers(std::size_t count, unsigned workers);
 
   ~SweepPool();

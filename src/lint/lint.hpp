@@ -133,6 +133,8 @@ struct Config {
       {"src/crypto/certificate.cpp", "verify_quorum_cert"},
       {"src/consensus/notary.cpp", "handle_vote"},
       {"src/net/network.cpp", "deliver_batch"},
+      {"src/anta/interpreter.cpp", "try_consume"},
+      {"src/anta/interpreter.cpp", "on_timer"},
   };
 };
 

@@ -5,11 +5,7 @@
 namespace xcp::net {
 
 void RuleBasedAdversary::hold_until(Predicate pred, TimePoint release_at) {
-  rules_.push_back(Rule{std::move(pred), release_at, std::nullopt});
-}
-
-void RuleBasedAdversary::delay_by(Predicate pred, Duration extra) {
-  rules_.push_back(Rule{std::move(pred), std::nullopt, extra});
+  rules_.push_back(Rule{std::move(pred), release_at});
 }
 
 std::optional<TimePoint> RuleBasedAdversary::propose_delivery(const Message& m,
@@ -17,9 +13,7 @@ std::optional<TimePoint> RuleBasedAdversary::propose_delivery(const Message& m,
   std::optional<TimePoint> proposal;
   for (const Rule& rule : rules_) {
     if (!rule.pred(m)) continue;
-    TimePoint t = now;
-    if (rule.release_at) t = std::max(t, *rule.release_at);
-    if (rule.extra) t = now + *rule.extra;
+    const TimePoint t = std::max(now, rule.release_at);
     proposal = proposal ? std::max(*proposal, t) : t;
   }
   return proposal;

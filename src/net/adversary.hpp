@@ -29,16 +29,13 @@ class Adversary {
 };
 
 /// Declarative targeted-delay rules, sufficient for all experiments:
-/// "delay every message matching PRED until time T / by duration D".
+/// "delay every message matching PRED until time T".
 class RuleBasedAdversary final : public Adversary {
  public:
   using Predicate = std::function<bool(const Message&)>;
 
   /// Messages matching `pred` are held until at least `release_at`.
   void hold_until(Predicate pred, TimePoint release_at);
-
-  /// Messages matching `pred` take an extra `extra` beyond the send time.
-  void delay_by(Predicate pred, Duration extra);
 
   std::optional<TimePoint> propose_delivery(const Message& m,
                                             TimePoint now) override;
@@ -52,8 +49,7 @@ class RuleBasedAdversary final : public Adversary {
  private:
   struct Rule {
     Predicate pred;
-    std::optional<TimePoint> release_at;
-    std::optional<Duration> extra;
+    TimePoint release_at;
   };
   std::vector<Rule> rules_;
 };

@@ -4,15 +4,6 @@
 
 namespace xcp::props {
 
-const char* verdict_name(Verdict v) {
-  switch (v) {
-    case Verdict::kUndecided: return "undecided";
-    case Verdict::kHolds: return "holds";
-    case Verdict::kViolated: return "violated";
-  }
-  return "?";
-}
-
 // ----------------------------------------------------- TerminationOnline
 
 void TerminationOnline::expect(sim::ProcessId pid) {

@@ -39,8 +39,6 @@ namespace xcp::props {
 
 enum class Verdict : std::uint8_t { kUndecided = 0, kHolds, kViolated };
 
-const char* verdict_name(Verdict v);
-
 /// Bit for one EventKind in a checker's subscription mask.
 constexpr std::uint32_t kind_bit(EventKind k) {
   return std::uint32_t{1} << static_cast<unsigned>(k);

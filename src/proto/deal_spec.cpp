@@ -37,10 +37,6 @@ void DealSpec::validate() const {
   }
 }
 
-bool Participants::is_customer(sim::ProcessId pid) const {
-  return std::find(customers.begin(), customers.end(), pid) != customers.end();
-}
-
 bool Participants::is_escrow(sim::ProcessId pid) const {
   return std::find(escrows.begin(), escrows.end(), pid) != escrows.end();
 }

@@ -38,6 +38,8 @@ struct DealSpec {
 
   /// Structural checks: n >= 1, n hop values, positive amounts.
   void validate() const;
+
+  bool operator==(const DealSpec&) const = default;
 };
 
 /// The cast of a run: process ids for c_0..c_n and e_0..e_{n-1}, in the
@@ -56,10 +58,11 @@ struct Participants {
     return escrows.at(static_cast<std::size_t>(i));
   }
 
-  bool is_customer(sim::ProcessId pid) const;
   bool is_escrow(sim::ProcessId pid) const;
   /// "alice" / "bob" / "chloe_i" / "escrow_i" / "?" for tracing and tables.
   std::string role_name(sim::ProcessId pid) const;
+
+  bool operator==(const Participants&) const = default;
 };
 
 }  // namespace xcp::proto

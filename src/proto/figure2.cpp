@@ -8,19 +8,19 @@ namespace xcp::proto {
 
 namespace {
 
-// Slot keys used by the automata.
-constexpr const char* kSlotEscrowDeal = "escrow_deal";
+Fig2Run& run_of(anta::Interpreter& in) { return in.bindings<Fig2Run>(); }
 
-void record_cert_event(const Fig2Context& ctx, props::EventKind kind,
-                       anta::Interpreter& in, const crypto::Certificate& cert) {
-  if (ctx.trace == nullptr) return;
+void record_cert_event(props::EventKind kind, anta::Interpreter& in,
+                       const crypto::Certificate& cert) {
+  props::TraceRecorder* trace = run_of(in).trace;
+  if (trace == nullptr) return;
   props::TraceEvent e;
   e.kind = kind;
   e.at = in.global_now();
   e.local_at = in.local_now();
   e.actor = in.id();
   e.label = crypto::cert_kind_label(cert.kind);
-  ctx.trace->record(e);
+  trace->record(e);
 }
 
 /// accept-callback: m carries a MoneyMsg whose ledger receipt really credits
@@ -28,11 +28,12 @@ void record_cert_event(const Fig2Context& ctx, props::EventKind kind,
 auto accept_money(const Fig2ContextPtr& ctx, sim::ProcessId expected_from,
                   sim::ProcessId to, Amount amount) {
   return [ctx, expected_from, to, amount](const net::Message& m,
-                                          anta::Interpreter&) {
+                                          anta::Interpreter& in) {
     const auto* body = m.body_as<MoneyMsg>();
     if (body == nullptr) return false;
     if (body->deal_id != ctx->spec.deal_id) return false;
-    return ctx->ledger->verify_exact(body->receipt, expected_from, to, amount);
+    return run_of(in).ledger->verify_exact(body->receipt, expected_from, to,
+                                           amount);
   };
 }
 
@@ -48,9 +49,9 @@ auto accept_chi(const Fig2ContextPtr& ctx,
     if (cert.kind != crypto::CertKind::kPayment) return false;
     if (cert.deal_id != ctx->spec.deal_id) return false;
     if (cert.issuer != ctx->parts.bob()) return false;
-    if (!crypto::verify_cert(*ctx->keys, cert)) return false;
+    if (!crypto::verify_cert(*run_of(in).keys, cert)) return false;
     if (deadline_of && !(in.local_now() < deadline_of(in))) return false;
-    record_cert_event(*ctx, props::EventKind::kCertReceived, in, cert);
+    record_cert_event(props::EventKind::kCertReceived, in, cert);
     return true;
   };
 }
@@ -61,7 +62,8 @@ auto accept_chi(const Fig2ContextPtr& ctx,
 auto pay_body(const Fig2ContextPtr& ctx, sim::ProcessId to, Amount amount) {
   return [ctx, to, amount](anta::Interpreter& in) -> net::BodyPtr {
     ledger::TransferId tid = ledger::kInvalidTransfer;
-    ctx->ledger->transfer(in.id(), to, amount, in.global_now(), &tid)
+    run_of(in)
+        .ledger->transfer(in.id(), to, amount, in.global_now(), &tid)
         .expect("customer payment");
     auto body = net::make_body<MoneyMsg>();
     body->deal_id = ctx->spec.deal_id;
@@ -95,6 +97,7 @@ std::shared_ptr<const anta::Automaton> build_escrow_automaton(
   const auto s_done_paid = a->add_state(kDonePaid, StateKind::kFinal);
   const auto s_done_refunded = a->add_state(kDoneRefunded, StateKind::kFinal);
   const auto var_u = a->add_var("u");
+  const auto slot_deal = a->add_slot("escrow_deal");
   a->set_initial(s_send_g);
 
   // s(c_i, G(d_i))
@@ -113,15 +116,16 @@ std::shared_ptr<const anta::Automaton> build_escrow_automaton(
   {
     auto& t = a->add_receive(s_await_money, s_send_p, up, net::kinds::money);
     t.accept = accept_money(ctx, up, self, v);
-    t.effect = [ctx, self, up, down, v](anta::Interpreter& in) {
+    t.effect = [self, up, down, v, slot_deal](anta::Interpreter& in) {
       const net::BodyPtr stashed = in.stashed(net::kinds::money);
       const auto* body = dynamic_cast<const MoneyMsg*>(stashed.get());
       XCP_REQUIRE(body != nullptr, "escrow effect without $ body");
       std::uint64_t deal = 0;
-      ctx->escrows
+      run_of(in)
+          .escrows
           ->lock(self, up, down, v, body->receipt, in.global_now(), &deal)
           .expect("escrow lock");
-      in.set_slot(kSlotEscrowDeal, deal);
+      in.set_slot(slot_deal, deal);
     };
   }
 
@@ -158,9 +162,10 @@ std::shared_ptr<const anta::Automaton> build_escrow_automaton(
   // s(c_{i+1}, $): complete the escrow to the downstream customer.
   {
     auto& t = a->set_send(s_pay_down, s_done_paid, down, net::kinds::money);
-    t.make_body = [ctx, v](anta::Interpreter& in) -> net::BodyPtr {
+    t.make_body = [ctx, v, slot_deal](anta::Interpreter& in) -> net::BodyPtr {
       ledger::TransferId tid = ledger::kInvalidTransfer;
-      ctx->escrows->complete(in.slot(kSlotEscrowDeal), in.global_now(), &tid)
+      run_of(in)
+          .escrows->complete(in.slot(slot_deal), in.global_now(), &tid)
           .expect("escrow complete");
       auto body = net::make_body<MoneyMsg>();
       body->deal_id = ctx->spec.deal_id;
@@ -173,9 +178,10 @@ std::shared_ptr<const anta::Automaton> build_escrow_automaton(
   // s(c_i, $): refund the deposit after the time-out.
   {
     auto& t = a->set_send(s_refund, s_done_refunded, up, net::kinds::money);
-    t.make_body = [ctx, v](anta::Interpreter& in) -> net::BodyPtr {
+    t.make_body = [ctx, v, slot_deal](anta::Interpreter& in) -> net::BodyPtr {
       ledger::TransferId tid = ledger::kInvalidTransfer;
-      ctx->escrows->refund(in.slot(kSlotEscrowDeal), in.global_now(), &tid)
+      run_of(in)
+          .escrows->refund(in.slot(slot_deal), in.global_now(), &tid)
           .expect("escrow refund");
       auto body = net::make_body<MoneyMsg>();
       body->deal_id = ctx->spec.deal_id;
@@ -343,8 +349,9 @@ std::shared_ptr<const anta::Automaton> build_bob_automaton(
     auto& t = a->set_send(s_send_chi, s_await_money, e_up, net::kinds::chi);
     t.make_body = [ctx](anta::Interpreter& in) -> net::BodyPtr {
       auto body = net::make_body<CertMsg>();
-      body->cert = crypto::make_payment_cert(ctx->bob_signer, ctx->spec.deal_id);
-      record_cert_event(*ctx, props::EventKind::kCertIssued, in, body->cert);
+      body->cert =
+          crypto::make_payment_cert(run_of(in).bob_signer, ctx->spec.deal_id);
+      record_cert_event(props::EventKind::kCertIssued, in, body->cert);
       return body;
     };
   }
@@ -362,6 +369,52 @@ std::shared_ptr<const anta::Automaton> build_customer_automaton(
   if (i == 0) return build_alice_automaton(ctx);
   if (i == ctx->spec.n) return build_bob_automaton(ctx);
   return build_connector_automaton(ctx, i);
+}
+
+namespace {
+
+Fig2Automata build_fig2_automata(Fig2ContextPtr ctx) {
+  Fig2Automata out;
+  const int n = ctx->spec.n;
+  for (int i = 0; i <= n; ++i) {
+    out.customers.push_back(build_customer_automaton(ctx, i));
+  }
+  for (int i = 0; i < n; ++i) {
+    out.escrows.push_back(build_escrow_automaton(ctx, i));
+  }
+  out.ctx = std::move(ctx);
+  return out;
+}
+
+}  // namespace
+
+const Fig2Automata& shared_fig2_automata(
+    const DealSpec& spec, const Participants& parts,
+    const TimelockSchedule& schedule,
+    const std::optional<Duration>& customer_giveup) {
+  // A sweep worker runs one matrix cell's seeds back to back, and a cell
+  // has one structure; a few entries cover the whole 6x4 matrix at one
+  // chain length. Entries are replaced round-robin once it is full.
+  constexpr std::size_t kCapacity = 8;
+  thread_local std::vector<Fig2Automata> cache;
+  thread_local std::size_t next_victim = 0;
+  for (const Fig2Automata& e : cache) {
+    const Fig2Context& c = *e.ctx;
+    if (c.spec == spec && c.parts == parts && c.schedule == schedule &&
+        c.customer_giveup == customer_giveup) {
+      return e;
+    }
+  }
+  Fig2Automata built = build_fig2_automata(std::make_shared<const Fig2Context>(
+      Fig2Context{spec, parts, schedule, customer_giveup}));
+  if (cache.size() < kCapacity) {
+    cache.push_back(std::move(built));
+    return cache.back();
+  }
+  Fig2Automata& slot = cache[next_victim];
+  next_victim = (next_victim + 1) % kCapacity;
+  slot = std::move(built);
+  return slot;
 }
 
 }  // namespace xcp::proto

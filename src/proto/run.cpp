@@ -4,15 +4,6 @@
 
 namespace xcp::proto {
 
-const char* synchrony_name(SynchronyKind k) {
-  switch (k) {
-    case SynchronyKind::kSynchronous: return "synchronous";
-    case SynchronyKind::kPartiallySynchronous: return "partially-synchronous";
-    case SynchronyKind::kAsynchronous: return "asynchronous";
-  }
-  return "?";
-}
-
 std::unique_ptr<net::DelayModel> make_delay_model(
     const EnvironmentConfig& env) {
   switch (env.synchrony) {

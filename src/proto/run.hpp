@@ -38,8 +38,6 @@ namespace xcp::proto {
 
 enum class SynchronyKind { kSynchronous, kPartiallySynchronous, kAsynchronous };
 
-const char* synchrony_name(SynchronyKind k);
-
 struct EnvironmentConfig {
   SynchronyKind synchrony = SynchronyKind::kSynchronous;
 

@@ -14,6 +14,8 @@ RunRecord run_time_bounded(const TimeBoundedConfig& config) {
   record.protocol = config.compensated ? "time-bounded" : "universal-naive";
   record.spec = config.spec;
 
+  // The bindings outlive the world whose interpreters point at them.
+  Fig2Run bindings;
   SimRun world(config.seed, /*key_salt=*/0x9e3779b97f4a7c15ULL, config.env,
                record.trace);
   record.parts = world.add_deal(config.spec);
@@ -23,16 +25,13 @@ RunRecord run_time_bounded(const TimeBoundedConfig& config) {
           ? TimelockSchedule::drift_compensated(n, config.assumed)
           : TimelockSchedule::naive(n, config.assumed);
 
-  auto ctx = std::make_shared<Fig2Context>();
-  ctx->spec = config.spec;
-  ctx->parts = parts;
-  ctx->schedule = *record.schedule;
-  ctx->ledger = &world.ledger;
-  ctx->escrows = &world.escrows;
-  ctx->keys = &world.keys;
-  ctx->trace = &record.trace;
-  ctx->bob_signer = world.keys.signer_for(parts.bob());
-  ctx->customer_giveup = config.customer_giveup;
+  const Fig2Automata& automata = shared_fig2_automata(
+      config.spec, parts, *record.schedule, config.customer_giveup);
+  bindings.ledger = &world.ledger;
+  bindings.escrows = &world.escrows;
+  bindings.keys = &world.keys;
+  bindings.trace = &record.trace;
+  bindings.bob_signer = world.keys.signer_for(parts.bob());
 
   // A participant is abiding unless assigned a Byzantine strategy (the
   // last assignment to it wins).
@@ -48,13 +47,14 @@ RunRecord run_time_bounded(const TimeBoundedConfig& config) {
   for (int i = 0; i <= n; ++i) {
     world.spawn_member<anta::Interpreter>(
         parts.customer(i), parts.role_name(parts.customer(i)),
-        abiding(false, i), build_customer_automaton(ctx, i),
-        config.env.processing);
+        abiding(false, i), automata.customers[static_cast<std::size_t>(i)],
+        config.env.processing, &bindings);
   }
   for (int i = 0; i < n; ++i) {
     world.spawn_member<anta::Interpreter>(
         parts.escrow(i), parts.role_name(parts.escrow(i)), abiding(true, i),
-        build_escrow_automaton(ctx, i), config.env.processing);
+        automata.escrows[static_cast<std::size_t>(i)], config.env.processing,
+        &bindings);
   }
   world.start();
 
@@ -62,7 +62,7 @@ RunRecord run_time_bounded(const TimeBoundedConfig& config) {
     const sim::ProcessId pid =
         b.is_escrow ? parts.escrow(b.index) : parts.customer(b.index);
     apply_byzantine(static_cast<anta::Interpreter&>(world.member(pid.value())),
-                    b, ctx);
+                    b, automata.ctx);
   }
 
   // Timing adversary (within the synchrony model's envelope).

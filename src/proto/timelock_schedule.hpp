@@ -51,6 +51,8 @@ struct TimingParams {
   Duration slack = Duration::millis(10);       // S > 0
 
   Duration step() const { return delta_max + processing; }  // Delta + eps
+
+  bool operator==(const TimingParams&) const = default;
 };
 
 class TimelockSchedule {
@@ -91,6 +93,8 @@ class TimelockSchedule {
 
   const TimingParams& params() const { return params_; }
   bool compensated() const { return compensated_; }
+
+  bool operator==(const TimelockSchedule&) const = default;
 
  private:
   TimelockSchedule(int n, const TimingParams& p, bool compensated);

@@ -5,8 +5,6 @@
 namespace xcp {
 
 namespace {
-LogLevel g_level = LogLevel::kOff;
-
 const char* level_tag(LogLevel level) {
   switch (level) {
     case LogLevel::kTrace: return "TRACE";
@@ -18,9 +16,6 @@ const char* level_tag(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
 
 void log_line(LogLevel level, const std::string& text) {
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), text.c_str());

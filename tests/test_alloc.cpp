@@ -4,7 +4,8 @@
 // with <=64-byte captures, timer churn, pooled message bodies, idle
 // socket-transport pumps and the committee vote path (digests, quorum
 // certificate checks) perform zero heap allocations, and that a whole
-// 64-notary committee deal stays within a fixed allocation budget.
+// 64-notary committee deal and one seed of each property-matrix cell stay
+// within fixed allocation budgets.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include "consensus/messages.hpp"
 #include "crypto/certificate.hpp"
 #include "crypto/signature.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "net/message.hpp"
 #include "net/msg_kind.hpp"
@@ -437,6 +439,57 @@ TEST(ZeroAlloc, CommitteeVotePath) {
   EXPECT_TRUE(rec.online.early_stopped);
   EXPECT_LE(deal_allocations, 2500u);
   RecordProperty("deal_allocations", static_cast<int>(deal_allocations));
+}
+
+TEST(ZeroAlloc, SweepSeedBudget) {
+  // One seed of each of the 24 matrix cells (n = 2), the way the sweep
+  // benchmark runs them: run_matrix_cell_accum(..., 1, seed). A seed still
+  // builds its world (simulator, network, ledger, actors, trace), but
+  // nothing that is the same for every seed: the Fig. 2 automata come from
+  // the thread's cache, and the worker count is asked for once. The counts
+  // are deterministic, so each gate is a plain ceiling.
+  using exp::ProtocolKind;
+  using exp::Regime;
+  struct Row {
+    ProtocolKind kind;
+    const char* name;
+    std::uint64_t ceiling;
+  };
+  // Today: 111-118 time-bounded and universal (248-260 when every seed
+  // built its five automata and ran them on string-keyed slots and deque
+  // buffers), 131-133 atomic, 128-132 weak-trusted, 143-153 weak-contract,
+  // 199-216 weak-committee.
+  constexpr Row kRows[] = {
+      {ProtocolKind::kTimeBounded, "time-bounded", 130},
+      {ProtocolKind::kUniversalNaive, "universal", 130},
+      {ProtocolKind::kInterledgerAtomic, "atomic", 140},
+      {ProtocolKind::kWeakTrusted, "weak-trusted", 140},
+      {ProtocolKind::kWeakContract, "weak-contract", 160},
+      {ProtocolKind::kWeakCommittee, "weak-committee", 225},
+  };
+  constexpr std::pair<Regime, const char*> kCols[] = {
+      {Regime::kSynchronyConforming, "synchrony"},
+      {Regime::kSynchronyHighDrift, "synchrony-drift"},
+      {Regime::kPartialSynchrony, "partial"},
+      {Regime::kPartialSynchronyAdversarial, "partial-adversary"},
+  };
+  for (const Row& row : kRows) {
+    for (const auto& [regime, regime_name] : kCols) {
+      // Warm-up: process-wide pools, labels, the automata cache.
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        exp::run_matrix_cell_accum(row.kind, regime, 2, 1, seed);
+      }
+      const std::uint64_t before = g_allocations;
+      const exp::CellAccum acc =
+          exp::run_matrix_cell_accum(row.kind, regime, 2, 1, /*seed=*/5);
+      const std::uint64_t allocations = g_allocations - before;
+      EXPECT_GT(acc.events_total, 0u);
+      EXPECT_LE(allocations, row.ceiling) << row.name << " " << regime_name;
+      RecordProperty(std::string("seed_allocations.") + row.name + "." +
+                         regime_name,
+                     static_cast<int>(allocations));
+    }
+  }
 }
 
 }  // namespace

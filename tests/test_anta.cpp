@@ -86,6 +86,7 @@ std::shared_ptr<Automaton> two_receive_machine(sim::ProcessId from) {
   a->set_initial(s0);
   a->add_receive(s0, s1, from, "A");
   a->add_receive(s1, s2, from, "B");
+  a->validate();
   return a;
 }
 
@@ -151,6 +152,7 @@ TEST(Interpreter, TimeoutFiresOnLocalClock) {
   auto& send_t = a->set_send(s0, s1, sim::ProcessId(0), "noop");
   send_t.effect = [u](Interpreter& in) { in.assign_now(u); };
   a->add_timeout(s1, s2, TimeGuard{u, Duration::millis(50)});
+  a->validate();
 
   Rig rig;
   auto& sink = rig.sim.spawn<Script>("sink", std::vector<Script::Step>{});
@@ -183,6 +185,7 @@ TEST(Interpreter, ReceiveBeatsTimeoutWhenEarlier) {
         [u](Interpreter& in) { in.assign_now(u); };
     a->add_receive(s1, got, sim::ProcessId(0), "M");
     a->add_timeout(s1, expired, TimeGuard{u, Duration::millis(100)});
+    a->validate();
     return a;
   };
   {
@@ -219,6 +222,7 @@ TEST(Interpreter, AcceptCallbackDiscardsInvalidContent) {
   t.accept = [&offered](const Message&, Interpreter&) {
     return ++offered >= 3;  // reject the first two matching messages
   };
+  a->validate();
   Rig rig;
   auto& script = rig.sim.spawn<Script>(
       "s", std::vector<Script::Step>{{Duration::millis(10), sim::ProcessId(1), "M"},
@@ -241,6 +245,7 @@ TEST(Interpreter, SendInterceptorDropAndHalt) {
     a->set_initial(s0);
     a->set_send(s0, s1, dest, "one");
     a->set_send(s1, s2, dest, "two");
+    a->validate();
     return a;
   };
   {
@@ -273,6 +278,105 @@ TEST(Interpreter, SendInterceptorDropAndHalt) {
     EXPECT_TRUE(interp.halted());
     EXPECT_EQ(rig.net.stats().messages_sent, 0u);
   }
+}
+
+TEST(Automaton, ExitIndexKeepsDeclarationOrderPerState) {
+  Automaton a("index");
+  const auto s0 = a.add_state("wait", StateKind::kInput);
+  const auto s1 = a.add_state("out", StateKind::kOutput);
+  const auto s2 = a.add_state("done", StateKind::kFinal);
+  const auto u = a.add_var("u");
+  a.set_initial(s0);
+  // Interleave the declarations across states.
+  a.add_receive(s0, s1, sim::ProcessId(0), "first");
+  a.set_send(s1, s2, sim::ProcessId(0), "send");
+  a.add_timeout(s0, s2, TimeGuard{u, Duration::millis(5)});
+  a.add_receive(s0, s2, sim::ProcessId(0), "third");
+  a.validate();
+  ASSERT_TRUE(a.validated());
+  const auto outs = a.out_of(s0);
+  ASSERT_EQ(outs.size(), 3u);
+  EXPECT_EQ(outs[0], &a.transitions()[0]);
+  EXPECT_EQ(outs[1], &a.transitions()[2]);
+  EXPECT_EQ(outs[2], &a.transitions()[3]);
+  ASSERT_EQ(a.out_of(s1).size(), 1u);
+  EXPECT_EQ(a.out_of(s1)[0]->kind, Transition::Kind::kSend);
+  EXPECT_TRUE(a.out_of(s2).empty());
+}
+
+TEST(Automaton, InterpreterRequiresAValidatedAutomaton) {
+  auto a = std::make_shared<Automaton>("late");
+  const auto s0 = a->add_state("wait", StateKind::kInput);
+  const auto s1 = a->add_state("done", StateKind::kFinal);
+  a->set_initial(s0);
+  a->add_receive(s0, s1, sim::ProcessId(0), "A");
+  Rig rig;
+  EXPECT_THROW(rig.sim.spawn<Interpreter>("m", a, Duration::millis(1)),
+               std::logic_error);
+  a->validate();
+  EXPECT_TRUE(a->validated());
+  // A structural edit after validation voids it, and the stale index with
+  // it.
+  a->add_receive(s0, s1, sim::ProcessId(0), "B");
+  EXPECT_FALSE(a->validated());
+  EXPECT_THROW(a->out_of(s0), std::logic_error);
+  // A failed validation leaves the automaton unvalidated.
+  a->add_receive(s1, s0, sim::ProcessId(0), "C");
+  EXPECT_THROW(a->validate(), std::logic_error);
+  EXPECT_FALSE(a->validated());
+}
+
+/// Run bindings of the slot test: where the effect reports what it read.
+struct SlotProbe : Bindings {
+  std::vector<std::uint64_t> seen;
+  bool had_before = true;
+};
+
+TEST(Interpreter, SlotsAndBindingsArePerInstance) {
+  // One shared automaton, two interpreters with their own bindings: each
+  // writes its slot on the first message and reads it back on the second.
+  auto a = std::make_shared<Automaton>("slots");
+  const auto s0 = a->add_state("init", StateKind::kInput);
+  const auto s1 = a->add_state("mid", StateKind::kInput);
+  const auto s2 = a->add_state("done", StateKind::kFinal);
+  const auto k = a->add_slot("k");
+  a->set_initial(s0);
+  a->add_receive(s0, s1, sim::ProcessId(0), "A").effect = [k](Interpreter& in) {
+    SlotProbe& probe = in.bindings<SlotProbe>();
+    probe.had_before = in.has_slot(k);
+    in.set_slot(k, 40 + in.id().value());
+  };
+  a->add_receive(s1, s2, sim::ProcessId(0), "B").effect = [k](Interpreter& in) {
+    in.bindings<SlotProbe>().seen.push_back(in.slot(k));
+  };
+  a->validate();
+  EXPECT_EQ(a->slot_count(), 1u);
+  EXPECT_EQ(a->slot_name(k), "k");
+
+  Rig rig;
+  auto& script = rig.sim.spawn<Script>(
+      "script",
+      std::vector<Script::Step>{{Duration::millis(10), sim::ProcessId(1), "A"},
+                                {Duration::millis(10), sim::ProcessId(2), "A"},
+                                {Duration::millis(20), sim::ProcessId(1), "B"},
+                                {Duration::millis(20), sim::ProcessId(2), "B"}});
+  SlotProbe p1;
+  SlotProbe p2;
+  auto& m1 = rig.sim.spawn<Interpreter>("m1", a, Duration::millis(1), &p1);
+  auto& m2 = rig.sim.spawn<Interpreter>("m2", a, Duration::millis(1), &p2);
+  EXPECT_FALSE(m1.has_slot(k));
+  EXPECT_THROW(m1.slot(k), std::logic_error);
+  EXPECT_THROW(m1.slot(k + 1), std::logic_error);
+  rig.net.attach(script);
+  rig.net.attach(m1);
+  rig.net.attach(m2);
+  rig.sim.run();
+  EXPECT_TRUE(m1.finished());
+  EXPECT_TRUE(m2.finished());
+  EXPECT_FALSE(p1.had_before);
+  EXPECT_FALSE(p2.had_before);
+  EXPECT_EQ(p1.seen, std::vector<std::uint64_t>{41});
+  EXPECT_EQ(p2.seen, std::vector<std::uint64_t>{42});
 }
 
 TEST(Render, DotAndAsciiContainStatesAndLabels) {

@@ -7,11 +7,15 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
+#include "net/adversary.hpp"
+#include "proto/figure2.hpp"
+#include "record_digest.hpp"
 #include "support/rng.hpp"
 
 namespace xcp::exp {
@@ -64,6 +68,27 @@ TEST(Sweep, PropagatesExceptions) {
   };
   EXPECT_THROW(parallel_sweep<int>(1, 16, fn, 4), std::runtime_error);
   EXPECT_THROW(parallel_sweep<int>(1, 16, fn, 1), std::runtime_error);
+}
+
+TEST(Sweep, ResolvedWorkers) {
+  using detail::SweepPool;
+  // Nothing or one unit to run: one worker, whatever was asked.
+  EXPECT_EQ(SweepPool::resolved_workers(0, 0), 1u);
+  EXPECT_EQ(SweepPool::resolved_workers(1, 0), 1u);
+  EXPECT_EQ(SweepPool::resolved_workers(0, 5), 1u);
+  EXPECT_EQ(SweepPool::resolved_workers(1, 5), 1u);
+  // An explicit count is honoured, clamped to the unit count.
+  EXPECT_EQ(SweepPool::resolved_workers(100, 3), 3u);
+  EXPECT_EQ(SweepPool::resolved_workers(100, 64), 64u);
+  EXPECT_EQ(SweepPool::resolved_workers(2, 3), 2u);
+  // 0 is the hardware thread count, and the same on every call.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned first = SweepPool::resolved_workers(1'000'000, 0);
+  EXPECT_EQ(first, hardware);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(SweepPool::resolved_workers(1'000'000, 0), first);
+  }
+  EXPECT_EQ(SweepPool::resolved_workers(2, 0), std::min(first, 2u));
 }
 
 TEST(Sweep, CountWhere) {
@@ -243,6 +268,108 @@ TEST(MatrixRunner, StreamingCellIsWorkerCountInvariant) {
                                       Regime::kPartialSynchrony, 2, 6);
   expect_cells_identical(nested[0], direct);
   expect_cells_identical(nested[1], direct);
+}
+
+// ------------------------------------------- shared Fig. 2 automata cache
+
+// The time-bounded runner takes its automata from a cache local to the
+// calling thread, keyed on everything their structure depends on. These
+// presets differ from one another in one part of that key each, so a key
+// that drops a part hands one of them the other's automata.
+constexpr int kPresetCount = 5;
+
+proto::RunRecord run_preset(int preset, std::uint64_t seed) {
+  const props::OnlineOptions full{/*enabled=*/true, /*early_stop=*/false};
+  switch (preset) {
+    case 0:  // the paper's schedule, rho = 1e-3
+      return run_cell_seed(ProtocolKind::kTimeBounded,
+                           Regime::kSynchronyConforming, 2, seed, full);
+    case 1:  // the schedule sized for rho = 0.15
+      return run_cell_seed(ProtocolKind::kTimeBounded,
+                           Regime::kSynchronyHighDrift, 2, seed, full);
+    case 2:  // the naive schedule
+      return run_cell_seed(ProtocolKind::kUniversalNaive,
+                           Regime::kSynchronyHighDrift, 2, seed, full);
+    case 3: {  // Thm 2's impatient variant: give-up exits, stranded chloe_1
+      proto::TimeBoundedConfig cfg = thm1_config(2, seed);
+      cfg.online = full;
+      const Duration horizon =
+          proto::TimelockSchedule::drift_compensated(2, cfg.assumed)
+              .horizon();
+      const TimePoint release = TimePoint::origin() + horizon * 3;
+      cfg.env.synchrony = proto::SynchronyKind::kPartiallySynchronous;
+      cfg.env.gst = release;
+      cfg.env.pre_gst_typical = Duration::millis(150);
+      cfg.adversary = [release](const proto::Participants& parts,
+                                const proto::TimelockSchedule&)
+          -> std::unique_ptr<net::Adversary> {
+        auto adv = std::make_unique<net::RuleBasedAdversary>();
+        adv->hold_until(
+            net::RuleBasedAdversary::all_of(
+                {net::RuleBasedAdversary::kind_is(net::kinds::chi),
+                 net::RuleBasedAdversary::to_process(parts.escrow(0))}),
+            release);
+        return adv;
+      };
+      cfg.customer_giveup = horizon;
+      cfg.extra_horizon = horizon * 6;
+      return proto::run_time_bounded(cfg);
+    }
+    default: {  // Bob forges chi: the interceptor rides shared automata
+      proto::TimeBoundedConfig cfg = thm1_config(2, seed);
+      cfg.online = full;
+      cfg.byzantine = {proto::ByzantineAssignment::customer(
+          2, proto::ByzStrategy::kFakeCert)};
+      return proto::run_time_bounded(cfg);
+    }
+  }
+}
+
+TEST(Fig2AutomataCache, InterleavedPresetsMatchRunsDoneAlone) {
+  // A heavy-drift run on the rho = 1e-3 schedule refunds in a few percent
+  // of seeds only; 256 seeds make a schedule-blind key show.
+  constexpr std::uint64_t kFirst = 1;
+  constexpr std::size_t kSeeds = 256;
+
+  // Alone: each preset on a fresh thread, whose cache holds nothing else.
+  std::vector<std::vector<std::uint64_t>> alone(kPresetCount);
+  for (int p = 0; p < kPresetCount; ++p) {
+    std::thread([&, p] {
+      for (std::size_t i = 0; i < kSeeds; ++i) {
+        alone[p].push_back(record_digest(run_preset(p, kFirst + i)));
+      }
+    }).join();
+  }
+  // The impatient variant really strands and rescues chloe_1, and the
+  // forged chi really never pays.
+  const proto::RunRecord impatient = run_preset(3, kFirst);
+  EXPECT_EQ(impatient.customer(1).final_state, std::string(proto::kGaveUp));
+  EXPECT_FALSE(run_preset(4, kFirst).bob_paid());
+
+  // Interleaved: A, B, C, D, E, A, B, ... on one thread.
+  for (std::size_t i = 0; i < kSeeds; ++i) {
+    for (int p = 0; p < kPresetCount; ++p) {
+      EXPECT_EQ(record_digest(run_preset(p, kFirst + i)), alone[p][i])
+          << "preset " << p << " seed " << kFirst + i;
+    }
+  }
+  // The same order drained by a sweep: each worker sees the presets
+  // interleaved in its own way.
+  for (unsigned workers : {1u, 4u}) {
+    const auto digests = parallel_sweep<std::uint64_t>(
+        0, kSeeds * kPresetCount,
+        [](std::uint64_t idx) {
+          return record_digest(
+              run_preset(static_cast<int>(idx % kPresetCount),
+                         kFirst + idx / kPresetCount));
+        },
+        workers);
+    for (std::size_t idx = 0; idx < digests.size(); ++idx) {
+      EXPECT_EQ(digests[idx], alone[idx % kPresetCount][idx / kPresetCount])
+          << "preset " << idx % kPresetCount << " seed "
+          << kFirst + idx / kPresetCount << " workers " << workers;
+    }
+  }
 }
 
 // ------------------------------------------------ CellAccum merge contract

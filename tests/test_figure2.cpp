@@ -15,9 +15,7 @@
 namespace xcp::proto {
 namespace {
 
-Fig2ContextPtr make_ctx(int n, ledger::Ledger& ledger,
-                        ledger::EscrowRegistry& escrows,
-                        crypto::KeyRegistry& keys) {
+Fig2ContextPtr make_ctx(int n) {
   auto ctx = std::make_shared<Fig2Context>();
   ctx->spec = DealSpec::uniform(/*deal_id=*/4, n, 100, 2);
   for (int i = 0; i <= n; ++i) {
@@ -29,18 +27,11 @@ Fig2ContextPtr make_ctx(int n, ledger::Ledger& ledger,
   }
   ctx->schedule =
       TimelockSchedule::drift_compensated(n, exp::default_timing());
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
-  ctx->bob_signer = keys.signer_for(ctx->parts.bob());
   return ctx;
 }
 
 TEST(Figure2Builders, EscrowShapeMatchesFigure) {
-  ledger::Ledger ledger;
-  ledger::EscrowRegistry escrows(ledger);
-  crypto::KeyRegistry keys(1);
-  const auto ctx = make_ctx(2, ledger, escrows, keys);
+  const auto ctx = make_ctx(2);
   const auto a = build_escrow_automaton(ctx, 0);
   // 9 states: send_G, await_$, send_P, await_chi, fwd_chi, pay_down, refund,
   // done_paid, done_refunded.
@@ -61,10 +52,7 @@ TEST(Figure2Builders, EscrowShapeMatchesFigure) {
 }
 
 TEST(Figure2Builders, CustomerShapes) {
-  ledger::Ledger ledger;
-  ledger::EscrowRegistry escrows(ledger);
-  crypto::KeyRegistry keys(1);
-  const auto ctx = make_ctx(3, ledger, escrows, keys);
+  const auto ctx = make_ctx(3);
   // Alice: await_G, pay, await_outcome + 2 finals = 5 states.
   EXPECT_EQ(build_alice_automaton(ctx)->state_count(), 5u);
   // Bob: await_P, send_chi, await_$, done = 4 states.
@@ -120,17 +108,18 @@ TEST(Figure2Security, BogusMoneyMessagesIgnored) {
   ctx->parts.customers = {sim::ProcessId(0), sim::ProcessId(1)};
   ctx->parts.escrows = {sim::ProcessId(2)};
   ctx->schedule = TimelockSchedule::drift_compensated(1, exp::default_timing());
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
-  ctx->trace = &trace;
-  ctx->bob_signer = keys.signer_for(ctx->parts.bob());
+  Fig2Run run;
+  run.ledger = &ledger;
+  run.escrows = &escrows;
+  run.keys = &keys;
+  run.trace = &trace;
+  run.bob_signer = keys.signer_for(ctx->parts.bob());
 
   // Spawn only the escrow; drive it manually from an injector posing as c_0.
   auto& alice_poser = sim.spawn<Injector>("poser");   // id 0 == c_0
   auto& bob_poser = sim.spawn<Injector>("bob-poser"); // id 1 == c_1 (bob)
   auto& escrow = sim.spawn<anta::Interpreter>(
-      "escrow_0", build_escrow_automaton(ctx, 0), Duration::millis(1));
+      "escrow_0", build_escrow_automaton(ctx, 0), Duration::millis(1), &run);
   ASSERT_EQ(escrow.id().value(), 2u);
   net.attach(alice_poser);
   net.attach(bob_poser);
@@ -190,14 +179,15 @@ TEST(Figure2Security, WrongAmountPromisesNotAccepted) {
   ctx->parts.customers = {sim::ProcessId(0), sim::ProcessId(1)};
   ctx->parts.escrows = {sim::ProcessId(2)};
   ctx->schedule = TimelockSchedule::drift_compensated(1, exp::default_timing());
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
-  ctx->trace = &trace;
-  ctx->bob_signer = keys.signer_for(ctx->parts.bob());
+  Fig2Run run;
+  run.ledger = &ledger;
+  run.escrows = &escrows;
+  run.keys = &keys;
+  run.trace = &trace;
+  run.bob_signer = keys.signer_for(ctx->parts.bob());
 
   auto& alice = sim.spawn<anta::Interpreter>(
-      "alice", build_alice_automaton(ctx), Duration::millis(1));
+      "alice", build_alice_automaton(ctx), Duration::millis(1), &run);
   ASSERT_EQ(alice.id().value(), 0u);
   auto& sink = sim.spawn<Injector>("sink");
   auto& escrow_poser = sim.spawn<Injector>("escrow-poser");  // id 2 == e_0
@@ -235,14 +225,15 @@ TEST(Figure2Security, WrongDealPromiseIgnored) {
   ctx->parts.customers = {sim::ProcessId(0), sim::ProcessId(1)};
   ctx->parts.escrows = {sim::ProcessId(2)};
   ctx->schedule = TimelockSchedule::drift_compensated(1, exp::default_timing());
-  ctx->ledger = &ledger;
-  ctx->escrows = &escrows;
-  ctx->keys = &keys;
-  ctx->trace = &trace;
-  ctx->bob_signer = keys.signer_for(ctx->parts.bob());
+  Fig2Run run;
+  run.ledger = &ledger;
+  run.escrows = &escrows;
+  run.keys = &keys;
+  run.trace = &trace;
+  run.bob_signer = keys.signer_for(ctx->parts.bob());
 
   auto& alice = sim.spawn<anta::Interpreter>(
-      "alice", build_alice_automaton(ctx), Duration::millis(1));
+      "alice", build_alice_automaton(ctx), Duration::millis(1), &run);
   auto& sink = sim.spawn<Injector>("sink");
   auto& escrow_poser = sim.spawn<Injector>("escrow-poser");
   (void)sink;

@@ -217,13 +217,6 @@ TEST(Fuzz, Figure2AutomataAreStructurallyClean) {
     }
     ctx->schedule =
         proto::TimelockSchedule::drift_compensated(n, exp::default_timing());
-    ledger::Ledger ledger;
-    ledger::EscrowRegistry escrows(ledger);
-    crypto::KeyRegistry keys(1);
-    ctx->ledger = &ledger;
-    ctx->escrows = &escrows;
-    ctx->keys = &keys;
-    ctx->bob_signer = keys.signer_for(ctx->parts.bob());
 
     for (int i = 0; i <= n; ++i) {
       const auto a = proto::build_customer_automaton(ctx, i);
